@@ -1,58 +1,22 @@
-"""Hot numeric kernels: numba @njit with a pure-numpy fallback.
+"""Hot numeric kernels of the exact sampler and the bootstrap, in numpy.
 
-Backend selection via the environment variable LEVYOU_BACKEND:
-  "auto"  (default): numba when importable, else numpy
-  "numba": force numba (falls back with a warning if unavailable)
-  "numpy": force the vectorized numpy path
-
-Both backends are exact; they may differ in the last floating-point ulps
-because summation order differs.  Run benchmarks/bench_kernels.py to compare
-throughput on this machine.
+Each kernel has exactly one implementation.  Segment sums over jumps are
+differences of one running cumulative sum, evaluated at the segment
+offsets; the per-step (X, Y) recursion is a scalar loop, since every step
+depends on the one before.  Reference loops that spell out each kernel
+term by term live in tests/test_kernels.py.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-_env = os.environ.get("LEVYOU_BACKEND", "auto").strip().lower()
-if _env not in ("auto", "numba", "numpy"):
-    warnings.warn(f"LEVYOU_BACKEND={_env!r} not recognized, using 'auto'")
-    _env = "auto"
-if _env == "numba" and not HAVE_NUMBA:
-    warnings.warn("LEVYOU_BACKEND=numba but numba is not importable; using numpy")
-    _env = "numpy"
-
-USE_NUMBA = HAVE_NUMBA if _env == "auto" else _env == "numba"
-BACKEND = "numba" if USE_NUMBA else "numpy"
 
 
 # --- jump-part weighted segment sums -------------------------------------
 # out[i] = sum_j (rho + beta*(1-exp(-lam*(T-tau[j])))/lam) * sizes[j]
 # over the slice offsets[i]:offsets[i+1].
 
-def _segment_weighted_sums_loop(tau, sizes, offsets, lam, beta, rho, T):
-    n = offsets.size - 1
-    out = np.zeros(n)
-    for i in range(n):
-        s = 0.0
-        for j in range(offsets[i], offsets[i + 1]):
-            w = rho + beta * (-np.expm1(-lam * (T - tau[j]))) / lam
-            s += w * sizes[j]
-        out[i] = s
-    return out
-
-
-def segment_weighted_sums_numpy(tau, sizes, offsets, lam, beta, rho, T):
+def segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T):
     if tau.size == 0:
         return np.zeros(offsets.size - 1)
     w = rho + beta * (-np.expm1(-lam * (T - tau))) / lam
@@ -65,19 +29,7 @@ def segment_weighted_sums_numpy(tau, sizes, offsets, lam, beta, rho, T):
 # (0, dt):  dxj[k] = sum exp(-lam*(dt-jt))*js,  ij[k] = sum k(dt-jt)*js
 # with k(u) the integrated decay.
 
-def _jump_step_sums_loop(jt, js, offsets, lam, dt):
-    n = offsets.size - 1
-    dxj = np.zeros(n)
-    ij = np.zeros(n)
-    for k in range(n):
-        for j in range(offsets[k], offsets[k + 1]):
-            e = np.exp(-lam * (dt - jt[j]))
-            dxj[k] += e * js[j]
-            ij[k] += (1.0 - e) / lam * js[j]
-    return dxj, ij
-
-
-def jump_step_sums_numpy(jt, js, offsets, lam, dt):
+def jump_step_sums(jt, js, offsets, lam, dt):
     n = offsets.size - 1
     if jt.size == 0:
         return np.zeros(n), np.zeros(n)
@@ -91,8 +43,8 @@ def jump_step_sums_numpy(jt, js, offsets, lam, dt):
 # x' = q*x + drift_x + a11*g1 + dxj ;  step integral i = eta_d*x + drift_i
 # + a21*g1 + a22*g2 + ij ;  dz recovered exactly from dz = (x'-x) + lam*i.
 
-def _path_recursion_loop(x0, q, eta_d, drift_x, drift_i, a11, a21, a22,
-                         g1, g2, dxj, ij, lam, beta, gamma, rho, dt):
+def path_recursion(x0, q, eta_d, drift_x, drift_i, a11, a21, a22,
+                   g1, g2, dxj, ij, lam, beta, gamma, rho, dt):
     n = g1.size
     X = np.empty(n + 1)
     Y = np.empty(n + 1)
@@ -109,50 +61,11 @@ def _path_recursion_loop(x0, q, eta_d, drift_x, drift_i, a11, a21, a22,
     return X, Y
 
 
-path_recursion_numpy = _path_recursion_loop  # scalar recursion; loop is the fallback
-
-
 # --- gathered central moments (bootstrap resamples) ------------------------
 
-def _gathered_central_moments_loop(x, idx):
-    n = idx.size
-    s = 0.0
-    for i in range(n):
-        s += x[idx[i]]
-    mean = s / n
-    s2 = 0.0
-    s3 = 0.0
-    s4 = 0.0
-    for i in range(n):
-        d = x[idx[i]] - mean
-        d2 = d * d
-        s2 += d2
-        s3 += d2 * d
-        s4 += d2 * d2
-    return mean, s2 / n, s3 / n, s4 / n
-
-
-def gathered_central_moments_numpy(x, idx):
+def gathered_central_moments(x, idx):
     y = x[idx]
     mean = y.mean()
     d = y - mean
     d2 = d * d
     return float(mean), float(d2.mean()), float((d2 * d).mean()), float((d2 * d2).mean())
-
-
-if HAVE_NUMBA:
-    segment_weighted_sums_numba = njit(cache=False, nogil=True)(_segment_weighted_sums_loop)
-    jump_step_sums_numba = njit(cache=False, nogil=True)(_jump_step_sums_loop)
-    path_recursion_numba = njit(cache=False, nogil=True)(_path_recursion_loop)
-    gathered_central_moments_numba = njit(cache=False, nogil=True)(_gathered_central_moments_loop)
-
-if USE_NUMBA:
-    segment_weighted_sums = segment_weighted_sums_numba
-    jump_step_sums = jump_step_sums_numba
-    path_recursion = path_recursion_numba
-    gathered_central_moments = gathered_central_moments_numba
-else:
-    segment_weighted_sums = segment_weighted_sums_numpy
-    jump_step_sums = jump_step_sums_numpy
-    path_recursion = path_recursion_numpy
-    gathered_central_moments = gathered_central_moments_numpy

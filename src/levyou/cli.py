@@ -22,6 +22,7 @@ from .cumulants import (
     stationary_cumulants,
 )
 from .edgeworth import (
+    NonPositiveVarianceError,
     TestFunction,
     cdf,
     density,
@@ -129,11 +130,6 @@ def cmd_density(cfg: dict, args) -> int:
     out_dir = Path(args.out)
     for T in ecfg.T_grid:
         table = cumulant_table(max_p, ecfg.params, kappa_f, T, override=override)
-        sigma = table.get(2)
-        if not sigma > 0:
-            print(f"variance {sigma!r} at T={T} is not positive; no density",
-                  file=sys.stderr)
-            return _EXIT_DEGENERATE
         ecs = {p: expansion_coefficients(p, table) for p in ecfg.p_orders}
         cols = {p: density(ys, ec) for p, ec in ecs.items()}
         path = out_dir / f"density_T{T:g}.csv"
@@ -219,13 +215,9 @@ def cmd_validate(cfg: dict, args) -> int:
 
 def cmd_theta_hat(cfg: dict, args) -> int:
     ecfg = _experiment_config(cfg)
-    try:
-        result = mean_estimator_demo(ecfg.params, ecfg.driver, ecfg.T_grid[0],
-                                     ecfg.n_samples, ecfg.seed,
-                                     workers=ecfg.resolved_workers())
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return _EXIT_CONFIG
+    result = mean_estimator_demo(ecfg.params, ecfg.driver, ecfg.T_grid[0],
+                                 ecfg.n_samples, ecfg.seed,
+                                 workers=ecfg.resolved_workers())
     out_path = Path(args.out) / "theta_hat.json"
     out_path.write_text(json.dumps({
         "theta_hat": result.theta_hat,
@@ -237,12 +229,7 @@ def cmd_theta_hat(cfg: dict, args) -> int:
 
 
 def cmd_converge(cfg: dict, args) -> int:
-    ecfg = _experiment_config(cfg)
-    try:
-        study = convergence_study(ecfg)
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return _EXIT_CONFIG
+    study = convergence_study(_experiment_config(cfg))
     _write_rows(study.rows, ["r", "T", "scaled", "limit", "gap"],
                 Path(args.out), "converge", args.format)
     slopes_path = Path(args.out) / "converge_slopes.json"
@@ -281,6 +268,9 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         return _DISPATCH[args.subcommand](cfg, args)
+    except NonPositiveVarianceError as e:
+        print(f"model degeneracy: {e}", file=sys.stderr)
+        return _EXIT_DEGENERATE
     except (ValueError, ConfigError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -89,13 +89,12 @@ REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "levyou validation report",
     "type": "object",
-    "required": ["config_hash", "degenerate", "partial", "backend",
+    "required": ["config_hash", "degenerate", "partial",
                  "cells", "cumulants", "checks", "footnotes"],
     "properties": {
         "config_hash": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
         "degenerate": {"type": "boolean"},
         "partial": {"type": "boolean"},
-        "backend": {"enum": ["numba", "numpy"]},
         "cells": {
             "type": "array",
             "items": {

@@ -48,6 +48,11 @@ R_MAX = 12
 # Relative tolerance deciding when beta + rho*lam counts as zero.
 DEGENERACY_RTOL = 1e-12
 
+# Below this lam*T, decay_power_mean sums a positive-term series instead of
+# the closed form, whose two leading terms cancel there.  At lam*T = ln 2 the
+# series ratio is 1/2 and the closed form is still accurate to ~3e-12.
+_TAIL_CROSSOVER = math.log(2.0)
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -167,6 +172,12 @@ def decay_power_mean(r: int, j: int, lam: float, T: float) -> float:
 
     for j >= 1; tends to lam**-j as T grows.  The order r only bounds the
     admissible j (the value itself does not depend on r).
+
+    For lam*T below ln 2 the two terms above cancel, so the value is taken
+    from the positive-term tail of -log(1 - x) = lam*T, x = lam*k(T):
+
+        T**-1 * lam**-(j+1) * sum_{m>j} x**m / m
+            = T**-1 * k(T)**(j+1) * sum_{n>=0} x**n / (n+j+1).
     """
     if not isinstance(j, int) or not isinstance(r, int):
         raise ValueError("r and j must be integers")
@@ -177,6 +188,15 @@ def decay_power_mean(r: int, j: int, lam: float, T: float) -> float:
     if j == 0:
         return 1.0
     x = -math.expm1(-lam * T)  # lam * integrated_decay(lam, T), in [0, 1)
+    if lam * T < _TAIL_CROSSOVER:
+        s = 0.0
+        term = 1.0 / (j + 1)
+        n = 0
+        while term > 1e-17 * s:
+            s += term
+            n += 1
+            term = x ** n / (n + j + 1)
+        return (x / lam) ** (j + 1) * s / T
     # Horner accumulation of sum_{k=1}^{j} x**k / k.
     s = 0.0
     for k in range(j, 0, -1):

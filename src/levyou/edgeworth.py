@@ -28,6 +28,7 @@ from .cumulants import R_MAX, CumulantTable
 
 __all__ = [
     "ExpansionCoefficients",
+    "NonPositiveVarianceError",
     "TestFunction",
     "hermite",
     "expansion_coefficients",
@@ -45,6 +46,14 @@ __all__ = [
 _TAIL_SIGMAS = 40.0
 
 
+class NonPositiveVarianceError(ValueError):
+    """The variance of an expansion is not positive (zero, negative or NaN).
+
+    A model property, not a malformed input: it arises in the degenerate
+    regime or from a variance override.
+    """
+
+
 @dataclass(frozen=True)
 class ExpansionCoefficients:
     """Assembled coefficients of the order-p expansion.
@@ -60,8 +69,10 @@ class ExpansionCoefficients:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError("p must be >= 2")
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        if not self.sigma > 0:
+            raise NonPositiveVarianceError(f"variance sigma must be positive, got {self.sigma!r}")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma!r}")
         if not all(math.isfinite(c) for _, c in self.terms):
             raise ValueError("all coefficients must be finite")
 
@@ -139,20 +150,22 @@ def density(y, ec: ExpansionCoefficients):
     return float(out) if y_arr.ndim == 0 else out
 
 
-def cdf(a: float, ec: ExpansionCoefficients) -> float:
+def cdf(a, ec: ExpansionCoefficients):
     """Signed-measure mass of (-inf, a]:  Phi(a) - sum_k coeff_k h_{deg-1}(a) phi(a).
 
-    Uses int_{-inf}^{a} h_k phi dy = -h_{k-1}(a) phi(a) for k >= 1; handles
-    a = +-inf exactly (total mass one).
+    Uses int_{-inf}^{a} h_k phi dy = -h_{k-1}(a) phi(a) for k >= 1.  Accepts
+    scalar or array a (a float for a scalar); a = +-inf gives exactly 1 or 0
+    (total mass one).
     """
-    if math.isinf(a):
-        return 1.0 if a > 0 else 0.0
-    base = float(ndtr(a / math.sqrt(ec.sigma)))
-    pdf_a = _gaussian_pdf(a, ec.sigma)
-    corr = 0.0
+    a_arr = np.asarray(a, dtype=float)
+    inf = np.isinf(a_arr)
+    y = np.where(inf, 0.0, a_arr)
+    corr = np.zeros_like(y)
     for deg, coeff in ec.terms:
-        corr += coeff * hermite(deg - 1, a, ec.sigma)
-    return base - corr * pdf_a
+        corr = corr + coeff * hermite(deg - 1, y, ec.sigma)
+    out = ndtr(y / math.sqrt(ec.sigma)) - corr * _gaussian_pdf(y, ec.sigma)
+    out = np.where(inf, np.where(a_arr > 0, 1.0, 0.0), out)
+    return float(out) if a_arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .cumulants import (
     normalized_cumulant_limit,
     stationary_cumulants,
 )
-from .edgeworth import cdf, expansion_coefficients
+from .edgeworth import ExpansionCoefficients, cdf, expansion_coefficients
 from .simulate import DriverSpec, driver_cumulants, sample_deviation
 
 __all__ = [
@@ -234,7 +234,6 @@ class MCReport:
     config_hash: str
     degenerate: bool
     partial: bool
-    backend: str
     cells: list[dict]
     cumulants: list[dict]
     checks: list[dict]
@@ -246,7 +245,6 @@ class MCReport:
             "config_hash": self.config_hash,
             "degenerate": self.degenerate,
             "partial": self.partial,
-            "backend": self.backend,
             "cells": self.cells,
             "cumulants": self.cumulants,
             "checks": self.checks,
@@ -335,7 +333,6 @@ def run_validation(cfg: ExperimentConfig) -> MCReport:
         config_hash=cfg.config_hash(),
         degenerate=cfg.params.degenerate,
         partial=partial,
-        backend=_kernels.BACKEND,
         cells=cells,
         cumulants=cumulant_rows,
         checks=checks,
@@ -353,9 +350,9 @@ class MeanEstimatorResult:
     summary: dict
 
 
-def _ks_distance(sorted_samples: np.ndarray, cdf_fn) -> float:
+def _ks_distance(sorted_samples: np.ndarray, ec: ExpansionCoefficients) -> float:
     n = sorted_samples.size
-    fx = np.asarray([cdf_fn(x) for x in sorted_samples])
+    fx = cdf(sorted_samples, ec)
     upper = np.arange(1, n + 1) / n
     lower = np.arange(0, n) / n
     return float(max(np.max(np.abs(upper - fx)), np.max(np.abs(fx - lower))))
@@ -389,8 +386,8 @@ def mean_estimator_demo(params: ModelParams, driver: DriverSpec, T: float,
     ec3 = expansion_coefficients(3, table)
     ec2 = expansion_coefficients(2, table)
     s = np.sort(scaled)
-    ks_normal = _ks_distance(s, lambda x: cdf(x, ec2))
-    ks_order3 = _ks_distance(s, lambda x: cdf(x, ec3))
+    ks_normal = _ks_distance(s, ec2)
+    ks_order3 = _ks_distance(s, ec3)
     return MeanEstimatorResult(
         theta_hat=float(theta_hats.mean()),
         theta0=theta0,

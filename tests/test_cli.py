@@ -118,9 +118,12 @@ class TestDensityCommand:
         cfg = base_config(params={"lam": 1.0, "gamma": 0.0, "beta": 1.0, "rho": -1.0})
         assert run_cli("density", write_config(cfg), tmp_path) == 3
 
-    def test_nonpositive_variance_exits_3(self, write_config, tmp_path):
-        cfg = base_config(chi_override={"2": -1.0})
-        assert run_cli("density", write_config(cfg), tmp_path) == 3
+
+@pytest.mark.parametrize("subcommand", ["density", "validate", "expect"])
+def test_nonpositive_variance_exits_3(subcommand, write_config, tmp_path, capsys):
+    cfg = base_config(chi_override={"2": -1.0})
+    assert run_cli(subcommand, write_config(cfg), tmp_path) == 3
+    assert "model degeneracy" in capsys.readouterr().err
 
 
 class TestExpectCommand:

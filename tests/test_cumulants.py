@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from levyou import (
@@ -95,6 +97,27 @@ class TestDecayPowerMean:
     def test_independent_of_order_argument(self, lam, T):
         assert decay_power_mean(2, 1, lam, T) == decay_power_mean(6, 1, lam, T)
         assert decay_power_mean(3, 2, lam, T) == decay_power_mean(8, 2, lam, T)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(log_lam=st.floats(-3.0, 3.0), log_lam_t=st.floats(-8.0, 3.0),
+           j=st.integers(1, 12))
+    def test_quadrature_oracle_whole_domain(self, log_lam, log_lam_t, j):
+        # lam*T in [1e-8, 1e3] spans both sides of the series crossover
+        lam = 10.0 ** log_lam
+        T = 10.0 ** log_lam_t / lam
+        oracle, _ = quad(lambda v: integrated_decay(lam, v) ** j, 0.0, T,
+                         epsabs=0.0, epsrel=1e-13, limit=200)
+        oracle /= T
+        got = decay_power_mean(R_MAX, j, lam, T)
+        assert got > 0.0
+        assert abs(got - oracle) <= 1e-10 * oracle
+
+    def test_short_horizon_cumulant_keeps_its_sign(self):
+        # rho = 0 leaves only positive terms in the integrand, so a negative
+        # value could only come from cancellation
+        params = ModelParams(lam=1.0, gamma=0.0, beta=1.0, rho=0.0)
+        kf = CumulantVector(CumulantKind.STATIONARY, (1.0,) * 6)
+        assert normalized_cumulant(6, params, kf, 1e-3) > 0.0
 
     def test_index_errors(self):
         with pytest.raises(ValueError):

@@ -190,6 +190,23 @@ class TestCdf:
                              epsabs=1e-12, epsrel=1e-12, limit=400)
             assert abs(cdf(a, ec) - oracle) < 1e-9
 
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_array_matches_scalar_calls(self, p, rng):
+        table = CumulantTable(T=8.0, values=(1.7, 0.6, -0.4))
+        ec = expansion_coefficients(p, table)
+        xs = np.sort(np.concatenate((rng.standard_normal(2000) * 2.0,
+                                     [0.0, -0.0, 1e-300, 60.0, -60.0])))
+        got = cdf(xs, ec)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        assert np.array_equal(got, [cdf(float(x), ec) for x in xs])
+
+    def test_scalar_gives_float_and_infinities_are_exact(self, skewed_ec):
+        assert type(cdf(0.3, skewed_ec)) is float
+        assert type(cdf(np.float64(0.3), skewed_ec)) is float
+        got = cdf(np.array([-math.inf, 0.3, math.inf]), skewed_ec)
+        assert got[0] == 0.0 and got[2] == 1.0
+        assert got[1] == cdf(0.3, skewed_ec)
+
 
 class TestExpect:
     def test_normalization(self, skewed_ec):

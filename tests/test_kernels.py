@@ -1,4 +1,6 @@
-"""numba and numpy kernel implementations agree on identical inputs."""
+"""The numpy kernels agree with term-by-term reference loops."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,72 +8,132 @@ import pytest
 from levyou import _kernels
 
 
-pytestmark = pytest.mark.skipif(not _kernels.HAVE_NUMBA,
-                                reason="numba unavailable; nothing to compare")
+# --- reference loops (oracles) ---------------------------------------------
+
+def segment_weighted_sums_ref(tau, sizes, offsets, lam, beta, rho, T):
+    out = np.zeros(offsets.size - 1)
+    for i in range(offsets.size - 1):
+        s = 0.0
+        for j in range(offsets[i], offsets[i + 1]):
+            w = rho + beta * (-math.expm1(-lam * (T - tau[j]))) / lam
+            s += w * sizes[j]
+        out[i] = s
+    return out
+
+
+def jump_step_sums_ref(jt, js, offsets, lam, dt):
+    n = offsets.size - 1
+    dxj = np.zeros(n)
+    ij = np.zeros(n)
+    for k in range(n):
+        for j in range(offsets[k], offsets[k + 1]):
+            e = math.exp(-lam * (dt - jt[j]))
+            dxj[k] += e * js[j]
+            ij[k] += (1.0 - e) / lam * js[j]
+    return dxj, ij
+
+
+def path_recursion_ref(x0, q, eta_d, drift_x, drift_i, a11, a21, a22,
+                       g1, g2, dxj, ij, lam, beta, gamma, rho, dt):
+    # X by its own recursion; Y as a running sum of per-step increments.
+    n = g1.size
+    X = [x0]
+    dy = []
+    for k in range(n):
+        x = X[-1]
+        i_step = eta_d * x + drift_i + a21 * g1[k] + a22 * g2[k] + ij[k]
+        x_new = q * x + drift_x + a11 * g1[k] + dxj[k]
+        dy.append(gamma * dt + beta * i_step + rho * ((x_new - x) + lam * i_step))
+        X.append(x_new)
+    return np.array(X), np.concatenate(([0.0], np.cumsum(dy)))
+
+
+def gathered_central_moments_ref(x, idx):
+    n = idx.size
+    mean = sum(x[i] for i in idx) / n
+    s2 = s3 = s4 = 0.0
+    for i in idx:
+        d = x[i] - mean
+        s2 += d * d
+        s3 += d * d * d
+        s4 += d * d * d * d
+    return mean, s2 / n, s3 / n, s4 / n
+
+
+# --- workloads --------------------------------------------------------------
+
+def _offsets(counts):
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
 
 
 @pytest.fixture()
 def jump_workload(rng):
-    n = 3000
-    counts = rng.poisson(4.0, n)
+    counts = rng.poisson(4.0, 3000)
     counts[::7] = 0  # force empty segments
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    offsets = _offsets(counts)
     tau = rng.uniform(0.0, 10.0, offsets[-1])
     sizes = rng.exponential(1.0, offsets[-1])
     return tau, sizes, offsets
 
 
-def test_backend_selected():
-    assert _kernels.BACKEND in ("numba", "numpy")
-
-
-def test_segment_weighted_sums_agree(jump_workload):
+def test_segment_weighted_sums_match_reference(jump_workload):
     tau, sizes, offsets = jump_workload
-    a = _kernels.segment_weighted_sums_numba(tau, sizes, offsets, 1.0, 1.0, 0.5, 10.0)
-    b = _kernels.segment_weighted_sums_numpy(tau, sizes, offsets, 1.0, 1.0, 0.5, 10.0)
-    np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
-    assert a[7 * 0] == 0.0  # empty segment stays zero
+    got = _kernels.segment_weighted_sums(tau, sizes, offsets, 1.0, 1.0, 0.5, 10.0)
+    ref = segment_weighted_sums_ref(tau, sizes, offsets, 1.0, 1.0, 0.5, 10.0)
+    np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
+    assert np.all(got[::7] == 0.0)  # empty segments stay exactly zero
 
 
-def test_segment_weighted_sums_empty():
+def test_segment_weighted_sums_no_jumps():
     offsets = np.zeros(5, dtype=np.int64)
     empty = np.empty(0)
-    for fn in (_kernels.segment_weighted_sums_numba, _kernels.segment_weighted_sums_numpy):
-        out = fn(empty, empty, offsets, 1.0, 1.0, 0.5, 10.0)
-        assert np.array_equal(out, np.zeros(4))
+    got = _kernels.segment_weighted_sums(empty, empty, offsets, 1.0, 1.0, 0.5, 10.0)
+    assert np.array_equal(got, np.zeros(4))
+    assert np.array_equal(got, segment_weighted_sums_ref(empty, empty, offsets,
+                                                         1.0, 1.0, 0.5, 10.0))
 
 
-def test_jump_step_sums_agree(rng):
-    n = 2000
-    counts = rng.poisson(0.2, n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+def test_jump_step_sums_match_reference(rng):
+    counts = rng.poisson(0.2, 2000)  # mostly empty steps
+    offsets = _offsets(counts)
     jt = rng.uniform(0.0, 0.05, offsets[-1])
     js = rng.exponential(1.0, offsets[-1])
-    a1, a2 = _kernels.jump_step_sums_numba(jt, js, offsets, 0.8, 0.05)
-    b1, b2 = _kernels.jump_step_sums_numpy(jt, js, offsets, 0.8, 0.05)
-    np.testing.assert_allclose(a1, b1, rtol=1e-9, atol=1e-14)
-    np.testing.assert_allclose(a2, b2, rtol=1e-9, atol=1e-14)
+    got = _kernels.jump_step_sums(jt, js, offsets, 0.8, 0.05)
+    ref = jump_step_sums_ref(jt, js, offsets, 0.8, 0.05)
+    for g, r in zip(got, ref):
+        np.testing.assert_allclose(g, r, rtol=1e-9, atol=1e-14)
+        assert np.all(g[counts == 0] == 0.0)
 
 
-def test_path_recursion_agree(rng):
+def test_jump_step_sums_no_jumps():
+    offsets = np.zeros(4, dtype=np.int64)
+    empty = np.empty(0)
+    dxj, ij = _kernels.jump_step_sums(empty, empty, offsets, 0.8, 0.05)
+    assert np.array_equal(dxj, np.zeros(3)) and np.array_equal(ij, np.zeros(3))
+
+
+@pytest.mark.parametrize("with_jumps", [True, False])
+def test_path_recursion_matches_reference(rng, with_jumps):
     n = 500
     g1 = rng.standard_normal(n)
     g2 = rng.standard_normal(n)
-    dxj = rng.exponential(0.1, n)
-    ij = rng.exponential(0.05, n)
+    dxj = rng.exponential(0.1, n) if with_jumps else np.zeros(n)
+    ij = rng.exponential(0.05, n) if with_jumps else np.zeros(n)
     args = (0.4, 0.97, 0.03, 0.001, 0.0005, 0.02, 0.01, 0.007,
             g1, g2, dxj, ij, 1.2, 1.0, 0.3, 0.5, 0.03)
-    xa, ya = _kernels.path_recursion_numba(*args)
-    xb, yb = _kernels.path_recursion_numpy(*args)
-    np.testing.assert_allclose(xa, xb, rtol=1e-12)
-    np.testing.assert_allclose(ya, yb, rtol=1e-12)
+    X, Y = _kernels.path_recursion(*args)
+    X_ref, Y_ref = path_recursion_ref(*args)
+    assert X.shape == Y.shape == (n + 1,)
+    assert np.array_equal(X, X_ref)  # same operations in the same order
+    np.testing.assert_allclose(Y, Y_ref, rtol=1e-12, atol=1e-14)
 
 
-def test_gathered_central_moments_agree(rng):
+def test_gathered_central_moments_match_reference(rng):
     x = rng.standard_normal(10_000)
     idx = rng.integers(0, x.size, x.size)
-    a = _kernels.gathered_central_moments_numba(x, idx)
-    b = _kernels.gathered_central_moments_numpy(x, idx)
-    np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14)
+    got = _kernels.gathered_central_moments(x, idx)
+    assert all(isinstance(v, float) for v in got)
+    np.testing.assert_allclose(got, gathered_central_moments_ref(x, idx),
+                               rtol=1e-10, atol=1e-14)
