@@ -1,6 +1,7 @@
 """Exact cumulants, Edgeworth expansions, and exact Monte Carlo for the
 integrated Levy-driven Ornstein-Uhlenbeck model."""
 
+from .config import ExperimentConfig
 from .cumulants import (
     R_MAX,
     CumulantKind,
@@ -29,7 +30,6 @@ from .edgeworth import (
     hermite_moment,
 )
 from .harness import (
-    ExperimentConfig,
     KStatistics,
     MCReport,
     MeanEstimatorResult,

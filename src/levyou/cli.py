@@ -15,12 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, apply_override, load_config, validate_config
-from .cumulants import (
-    cumulant_table,
-    normalized_cumulant_limit,
-    stationary_cumulants,
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    apply_override,
+    load_config,
+    validate_config,
 )
+from .cumulants import normalized_cumulant_limit
 from .edgeworth import (
     NonPositiveVarianceError,
     TestFunction,
@@ -30,13 +32,8 @@ from .edgeworth import (
     expect,
     negative_density_report,
 )
-from .harness import (
-    ExperimentConfig,
-    convergence_study,
-    mean_estimator_demo,
-    run_validation,
-)
-from .simulate import driver_cumulants, sample_path, write_path_csv
+from .harness import convergence_study, mean_estimator_demo, run_validation
+from .simulate import sample_path, write_path_csv
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -67,17 +64,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _experiment_config(cfg: dict) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(cfg)
-
-
 def _write_rows(rows: list[dict], columns: list[str], out_dir: Path, stem: str,
                 fmt: str) -> None:
     if fmt == "table":
-        widths = [max(len(c), 14) for c in columns]
-        print("  ".join(c.ljust(w) for c, w in zip(columns, widths)))
-        for row in rows:
-            print("  ".join(str(row[c]).ljust(w) for c, w in zip(columns, widths)))
+        lines = [columns] + [[str(row[c]) for c in columns] for row in rows]
+        widths = [max(len(line[i]) for line in lines) for i in range(len(columns))]
+        for line in lines:
+            print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)))
         return
     if fmt == "json":
         path = out_dir / f"{stem}.json"
@@ -92,44 +85,32 @@ def _write_rows(rows: list[dict], columns: list[str], out_dir: Path, stem: str,
     print(f"wrote {path}")
 
 
-def _model_pieces(cfg: dict):
-    ecfg = _experiment_config(cfg)
-    max_p = max(max(ecfg.p_orders), 4)
-    kappa_f = stationary_cumulants(driver_cumulants(ecfg.driver, max_p), ecfg.params.lam)
-    return ecfg, max_p, kappa_f
-
-
-def cmd_cumulants(cfg: dict, args) -> int:
-    ecfg, max_p, kappa_f = _model_pieces(cfg)
-    override = dict(ecfg.cumulant_override)
+def cmd_cumulants(ecfg: ExperimentConfig, args) -> int:
     rows = []
     for T in ecfg.T_grid:
-        table = cumulant_table(max_p, ecfg.params, kappa_f, T, override=override)
-        for r in range(2, max_p + 1):
+        table = ecfg.table(T)
+        for r in range(2, table.order + 1):
             value = table.get(r)
             rows.append({
                 "T": T, "r": r,
                 "cumulant": value,
                 "scaled": T ** ((r - 2) / 2.0) * value,
-                "limit": normalized_cumulant_limit(r, ecfg.params, kappa_f),
+                "limit": normalized_cumulant_limit(r, ecfg.params, ecfg.kappa_f),
             })
     _write_rows(rows, ["T", "r", "cumulant", "scaled", "limit"],
                 Path(args.out), "cumulants", args.format)
     return _EXIT_OK
 
 
-def cmd_density(cfg: dict, args) -> int:
-    ecfg, max_p, kappa_f = _model_pieces(cfg)
+def cmd_density(ecfg: ExperimentConfig, args) -> int:
     if ecfg.params.degenerate:
         print("model is degenerate (beta + rho*lam = 0): the limiting variance "
               "vanishes and no expansion density is emitted", file=sys.stderr)
         return _EXIT_DEGENERATE
-    grid_cfg = cfg.get("density_grid", {"lo": -6.0, "hi": 6.0, "n": 241})
-    ys = np.linspace(grid_cfg["lo"], grid_cfg["hi"], grid_cfg["n"])
-    override = dict(ecfg.cumulant_override)
+    ys = np.linspace(*ecfg.density_grid)
     out_dir = Path(args.out)
     for T in ecfg.T_grid:
-        table = cumulant_table(max_p, ecfg.params, kappa_f, T, override=override)
+        table = ecfg.table(T)
         ecs = {p: expansion_coefficients(p, table) for p in ecfg.p_orders}
         cols = {p: density(ys, ec) for p, ec in ecs.items()}
         path = out_dir / f"density_T{T:g}.csv"
@@ -147,19 +128,16 @@ def cmd_density(cfg: dict, args) -> int:
     return _EXIT_OK
 
 
-def cmd_expect(cfg: dict, args) -> int:
-    ecfg, max_p, kappa_f = _model_pieces(cfg)
-    override = dict(ecfg.cumulant_override)
-    moments = cfg.get("moments", [1, 2, 3])
+def cmd_expect(ecfg: ExperimentConfig, args) -> int:
     rows = []
     for T in ecfg.T_grid:
-        table = cumulant_table(max_p, ecfg.params, kappa_f, T, override=override)
+        table = ecfg.table(T)
         for p in ecfg.p_orders:
             ec = expansion_coefficients(p, table)
             for a in ecfg.test_points:
                 rows.append({"T": T, "p": p, "kind": "indicator_le", "arg": a,
                              "value": cdf(a, ec)})
-            for m in moments:
+            for m in ecfg.moments:
                 f = TestFunction.polynomial([0.0] * m + [1.0])
                 rows.append({"T": T, "p": p, "kind": "moment", "arg": float(m),
                              "value": expect(f, ec)})
@@ -168,17 +146,13 @@ def cmd_expect(cfg: dict, args) -> int:
     return _EXIT_OK
 
 
-def cmd_simulate(cfg: dict, args) -> int:
-    ecfg, _, _ = _model_pieces(cfg)
-    sim = cfg.get("sim", {})
-    n_steps = int(sim.get("n_steps", 64))
-    n_paths = int(sim.get("n_paths", 1))
+def cmd_simulate(ecfg: ExperimentConfig, args) -> int:
     T = ecfg.T_grid[0]
     out_dir = Path(args.out)
     deviations = []
-    for i in range(n_paths):
+    for i in range(ecfg.n_paths):
         child = int(np.random.SeedSequence(ecfg.seed, spawn_key=(i,)).generate_state(1)[0])
-        path = sample_path(ecfg.params, ecfg.driver, T, n_steps, seed=child)
+        path = sample_path(ecfg.params, ecfg.driver, T, ecfg.n_steps, seed=child)
         fname = out_dir / f"path_{i:03d}.csv"
         with fname.open("w") as fh:
             write_path_csv(path, fh)
@@ -186,15 +160,14 @@ def cmd_simulate(cfg: dict, args) -> int:
     summary = out_dir / "simulate_summary.json"
     summary.write_text(json.dumps({
         "config_hash": ecfg.config_hash(),
-        "T": T, "n_steps": n_steps, "n_paths": n_paths,
+        "T": T, "n_steps": ecfg.n_steps, "n_paths": ecfg.n_paths,
         "deviations": deviations,
     }, indent=2) + "\n")
-    print(f"wrote {n_paths} path file(s) and {summary}")
+    print(f"wrote {ecfg.n_paths} path file(s) and {summary}")
     return _EXIT_OK
 
 
-def cmd_validate(cfg: dict, args) -> int:
-    ecfg = _experiment_config(cfg)
+def cmd_validate(ecfg: ExperimentConfig, args) -> int:
     report = run_validation(ecfg)
     out_dir = Path(args.out)
     json_path = out_dir / "report.json"
@@ -213,8 +186,7 @@ def cmd_validate(cfg: dict, args) -> int:
     return _EXIT_OK
 
 
-def cmd_theta_hat(cfg: dict, args) -> int:
-    ecfg = _experiment_config(cfg)
+def cmd_theta_hat(ecfg: ExperimentConfig, args) -> int:
     result = mean_estimator_demo(ecfg.params, ecfg.driver, ecfg.T_grid[0],
                                  ecfg.n_samples, ecfg.seed,
                                  workers=ecfg.resolved_workers())
@@ -228,8 +200,8 @@ def cmd_theta_hat(cfg: dict, args) -> int:
     return _EXIT_OK
 
 
-def cmd_converge(cfg: dict, args) -> int:
-    study = convergence_study(_experiment_config(cfg))
+def cmd_converge(ecfg: ExperimentConfig, args) -> int:
+    study = convergence_study(ecfg)
     _write_rows(study.rows, ["r", "T", "scaled", "limit", "gap"],
                 Path(args.out), "converge", args.format)
     slopes_path = Path(args.out) / "converge_slopes.json"
@@ -261,17 +233,17 @@ def main(argv=None) -> int:
         if args.workers is not None:
             cfg["workers"] = args.workers
         validate_config(cfg)
-    except ConfigError as e:
+        ecfg = ExperimentConfig.from_dict(cfg)
+    except (ValueError, ConfigError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return _EXIT_CONFIG
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     try:
-        return _DISPATCH[args.subcommand](cfg, args)
+        return _DISPATCH[args.subcommand](ecfg, args)
     except NonPositiveVarianceError as e:
         print(f"model degeneracy: {e}", file=sys.stderr)
         return _EXIT_DEGENERATE
-    except (ValueError, ConfigError) as e:
+    except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return _EXIT_CONFIG
 

@@ -1,17 +1,30 @@
-"""Experiment configuration: JSON schema, file loading, dot-path overrides.
+"""Experiment configuration: JSON schemas, file loading, dot-path overrides,
+and ExperimentConfig, the parsed config that every subcommand runs from.
 
-One JSON document configures every subcommand; the schema below is also
-shipped as docs/config_schema.json together with a worked example.
+CONFIG_SCHEMA and REPORT_SCHEMA below are the only copies of the config and
+report schemas; docs/example_gamma_ou.json is a worked example.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
-import jsonschema
+from .cumulants import (
+    R_MAX,
+    CumulantTable,
+    CumulantVector,
+    ModelParams,
+    cumulant_table,
+    stationary_cumulants,
+)
+from .simulate import DriverSpec, driver_cumulants
 
-__all__ = ["CONFIG_SCHEMA", "REPORT_SCHEMA", "ConfigError",
+__all__ = ["CONFIG_SCHEMA", "REPORT_SCHEMA", "ConfigError", "ExperimentConfig",
            "load_config", "apply_override", "validate_config"]
 
 CONFIG_SCHEMA = {
@@ -191,8 +204,110 @@ def apply_override(cfg: dict, assignment: str) -> None:
 
 def validate_config(cfg: dict) -> None:
     """Validate against the documented schema; raise ConfigError on failure."""
+    import jsonschema  # imported here so that `import levyou` does not pay for it
+
     try:
         jsonschema.validate(cfg, CONFIG_SCHEMA)
     except jsonschema.ValidationError as e:
         path = ".".join(str(p) for p in e.absolute_path) or "<root>"
         raise ConfigError(f"config schema violation at {path}: {e.message}") from e
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Parsed configuration of one run: every field that determines output."""
+
+    params: ModelParams
+    driver: DriverSpec
+    T_grid: tuple[float, ...]
+    p_orders: tuple[int, ...] = (2, 3, 4)
+    n_samples: int = 100_000
+    seed: int = 0
+    test_points: tuple[float, ...] = (-1.0, 0.0, 1.0)
+    workers: int = 0  # 0 -> hardware parallelism
+    cumulant_override: tuple[tuple[int, float], ...] = ()
+    density_grid: tuple[float, float, int] = (-6.0, 6.0, 241)  # (lo, hi, n)
+    moments: tuple[int, ...] = (1, 2, 3)
+    n_steps: int = 64  # sim.n_steps
+    n_paths: int = 1  # sim.n_paths
+
+    def __post_init__(self):
+        if len(self.T_grid) < 1 or any(t <= 0 for t in self.T_grid):
+            raise ValueError("T_grid must contain positive horizons")
+        if any(p < 2 for p in self.p_orders):
+            raise ValueError("expansion orders must be >= 2")
+        if max(self.p_orders) > R_MAX:
+            raise ValueError(f"max expansion order {max(self.p_orders)} exceeds {R_MAX}")
+        if self.n_samples < 100:
+            raise ValueError("n_samples must be >= 100")
+        if self.workers < 0:
+            raise ValueError("workers must be >= 0")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Parse a config document; absent optional keys take the field defaults."""
+        params = ModelParams(**{k: float(v) for k, v in d["params"].items()})
+        drv = dict(d["driver"])
+        variant = drv.pop("variant")
+        driver = DriverSpec(variant=variant, **{k: float(v) for k, v in drv.items()})
+        override = tuple(sorted((int(r), float(v))
+                                for r, v in d.get("chi_override", {}).items()))
+        grid = d.get("density_grid")
+        sim = d.get("sim", {})
+        return cls(
+            params=params,
+            driver=driver,
+            T_grid=tuple(float(t) for t in d["T_grid"]),
+            p_orders=tuple(int(p) for p in d.get("p_orders", cls.p_orders)),
+            n_samples=int(d["n_samples"]),
+            seed=int(d["seed"]),
+            test_points=tuple(float(a) for a in d.get("test_points", cls.test_points)),
+            workers=int(d.get("workers", cls.workers)),
+            cumulant_override=override,
+            density_grid=((float(grid["lo"]), float(grid["hi"]), int(grid["n"]))
+                          if grid is not None else cls.density_grid),
+            moments=tuple(int(m) for m in d.get("moments", cls.moments)),
+            n_steps=int(sim.get("n_steps", cls.n_steps)),
+            n_paths=int(sim.get("n_paths", cls.n_paths)),
+        )
+
+    def canonical_dict(self) -> dict:
+        """Output-determining fields in canonical form (workers excluded:
+        the worker count never changes outputs)."""
+        lo, hi, n = self.density_grid
+        return {
+            "params": {"lam": self.params.lam, "gamma": self.params.gamma,
+                       "beta": self.params.beta, "rho": self.params.rho},
+            "driver": {"variant": self.driver.variant, "b": self.driver.b,
+                       "C": self.driver.C, "c": self.driver.c,
+                       "alpha": self.driver.alpha},
+            "T_grid": list(self.T_grid),
+            "p_orders": list(self.p_orders),
+            "n_samples": self.n_samples,
+            "seed": self.seed,
+            "test_points": list(self.test_points),
+            "chi_override": {str(r): v for r, v in self.cumulant_override},
+            "density_grid": {"lo": lo, "hi": hi, "n": n},
+            "moments": list(self.moments),
+            "sim": {"n_steps": self.n_steps, "n_paths": self.n_paths},
+        }
+
+    def config_hash(self) -> str:
+        blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+    def resolved_workers(self) -> int:
+        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
+
+    @cached_property
+    def kappa_f(self) -> CumulantVector:
+        """Stationary cumulants up to the highest order any output needs:
+        the largest expansion order, and at least 4."""
+        order = max(max(self.p_orders), 4)
+        return stationary_cumulants(driver_cumulants(self.driver, order), self.params.lam)
+
+    def table(self, T: float) -> CumulantTable:
+        """Closed-form cumulant table at horizon T, of orders 2 to
+        `kappa_f.order`, with `cumulant_override` applied."""
+        return cumulant_table(self.kappa_f.order, self.params, self.kappa_f, T,
+                              override=dict(self.cumulant_override))

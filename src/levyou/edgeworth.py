@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 from .cumulants import R_MAX, CumulantTable
@@ -256,6 +255,7 @@ def expect(f: TestFunction, ec: ExpansionCoefficients) -> float:
             total += c * val
         return total
     if f.kind == "tabulated":
+        from scipy.integrate import quad  # slow to import, and only this branch needs it
         ys, vals = f.grid
         half = _TAIL_SIGMAS * math.sqrt(ec.sigma)
         lo = max(-half, ys[0])

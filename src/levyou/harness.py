@@ -13,10 +13,7 @@ for any worker count.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .config import ExperimentConfig
 from .cumulants import (
-    R_MAX,
     ModelParams,
     cumulant_table,
-    normalized_cumulant,
     normalized_cumulant_limit,
     stationary_cumulants,
 )
@@ -37,7 +33,6 @@ from .simulate import DriverSpec, driver_cumulants, sample_deviation
 
 __all__ = [
     "CHUNK",
-    "ExperimentConfig",
     "KStatistics",
     "MCReport",
     "MeanEstimatorResult",
@@ -67,77 +62,6 @@ _FOOTNOTES = (
     "Cells with |empirical - normal prediction| <= 4 SE are marked "
     "non-informative and excluded from ordering comparisons.",
 )
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Full description of one validation experiment."""
-
-    params: ModelParams
-    driver: DriverSpec
-    T_grid: tuple[float, ...]
-    p_orders: tuple[int, ...] = (2, 3, 4)
-    n_samples: int = 100_000
-    seed: int = 0
-    test_points: tuple[float, ...] = (-1.0, 0.0, 1.0)
-    workers: int = 0  # 0 -> hardware parallelism
-    cumulant_override: tuple[tuple[int, float], ...] = ()
-
-    def __post_init__(self):
-        if len(self.T_grid) < 1 or any(t <= 0 for t in self.T_grid):
-            raise ValueError("T_grid must contain positive horizons")
-        if any(p < 2 for p in self.p_orders):
-            raise ValueError("expansion orders must be >= 2")
-        if max(self.p_orders) > R_MAX:
-            raise ValueError(f"max expansion order {max(self.p_orders)} exceeds {R_MAX}")
-        if self.n_samples < 100:
-            raise ValueError("n_samples must be >= 100")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        params = ModelParams(**{k: float(v) for k, v in d["params"].items()})
-        drv = dict(d["driver"])
-        variant = drv.pop("variant")
-        driver = DriverSpec(variant=variant, **{k: float(v) for k, v in drv.items()})
-        override = tuple(sorted((int(r), float(v))
-                                for r, v in d.get("chi_override", {}).items()))
-        return cls(
-            params=params,
-            driver=driver,
-            T_grid=tuple(float(t) for t in d["T_grid"]),
-            p_orders=tuple(int(p) for p in d.get("p_orders", (2, 3, 4))),
-            n_samples=int(d["n_samples"]),
-            seed=int(d["seed"]),
-            test_points=tuple(float(a) for a in d.get("test_points", (-1.0, 0.0, 1.0))),
-            workers=int(d.get("workers", 0)),
-            cumulant_override=override,
-        )
-
-    def canonical_dict(self) -> dict:
-        """Result-determining fields in canonical form (workers excluded:
-        the worker count never changes outputs)."""
-        return {
-            "params": {"lam": self.params.lam, "gamma": self.params.gamma,
-                       "beta": self.params.beta, "rho": self.params.rho},
-            "driver": {"variant": self.driver.variant, "b": self.driver.b,
-                       "C": self.driver.C, "c": self.driver.c,
-                       "alpha": self.driver.alpha},
-            "T_grid": list(self.T_grid),
-            "p_orders": list(self.p_orders),
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "test_points": list(self.test_points),
-            "chi_override": {str(r): v for r, v in self.cumulant_override},
-        }
-
-    def config_hash(self) -> str:
-        blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    def resolved_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -274,34 +198,24 @@ def run_validation(cfg: ExperimentConfig) -> MCReport:
     """
     t0 = time.perf_counter()
     workers = cfg.resolved_workers()
-    max_p = max(max(cfg.p_orders), 4)
-    kappa_z = driver_cumulants(cfg.driver, max_p)
-    kappa_f = stationary_cumulants(kappa_z, cfg.params.lam)
-    override = dict(cfg.cumulant_override)
     cells: list[dict] = []
     cumulant_rows: list[dict] = []
     partial = False
-    mass_err = 0.0
-    comp_err = 0.0
     cum_fail: list[str] = []
     try:
         for t_idx, T in enumerate(cfg.T_grid):
             samples = draw_normalized_samples(cfg.params, cfg.driver, T,
                                               cfg.n_samples, cfg.seed,
                                               workers=workers, stream_tag=t_idx)
-            table = cumulant_table(max_p, cfg.params, kappa_f, T, override=override)
+            table = cfg.table(T)
             ecs = {p: expansion_coefficients(p, table)
                    for p in set(cfg.p_orders) | {2}}
-            for p, ec in ecs.items():
-                mass_err = max(mass_err, abs(cdf(math.inf, ec) - 1.0))
             for a in cfg.test_points:
                 emp, se = estimate_indicator(samples, a)
                 psi2 = cdf(a, ecs[2])
                 informative = abs(emp - psi2) > 4.0 * se
                 for p in cfg.p_orders:
                     below = cdf(a, ecs[p])
-                    above = cdf(math.inf, ecs[p]) - below
-                    comp_err = max(comp_err, abs(below + above - 1.0))
                     cells.append({
                         "T": T, "a": a, "p": p,
                         "empirical": emp, "se": se,
@@ -321,10 +235,6 @@ def run_validation(cfg: ExperimentConfig) -> MCReport:
     except KeyboardInterrupt:
         partial = True
     checks = [
-        {"name": "expansion_total_mass", "passed": mass_err <= 1e-12,
-         "detail": f"max |mass - 1| = {mass_err:.3e}"},
-        {"name": "indicator_complement", "passed": comp_err <= 1e-12,
-         "detail": f"max |below + above - 1| = {comp_err:.3e}"},
         {"name": "cumulant_match", "passed": not cum_fail,
          "detail": "k_r within 5 bootstrap SE of prediction for r <= 3"
                    + ("" if not cum_fail else f"; failed: {', '.join(cum_fail)}")},
@@ -381,8 +291,8 @@ def mean_estimator_demo(params: ModelParams, driver: DriverSpec, T: float,
     ks = k_statistics(scaled, r_max=2, rng=boot_rng)
     var_scaled = float(ks.values[1])
     var_se = float(ks.se[1])
-    sigma_t = normalized_cumulant(2, params, kappa_f, T)
     table = cumulant_table(3, params, kappa_f, T)
+    sigma_t = table.get(2)
     ec3 = expansion_coefficients(3, table)
     ec2 = expansion_coefficients(2, table)
     s = np.sort(scaled)
@@ -414,18 +324,19 @@ def convergence_study(cfg: ExperimentConfig) -> ConvergenceStudy:
 
     For each r in {2,3,4} reports the rescaled value, the limit, the absolute
     gap, and the fitted log-log decay slope of the gap (None when the gap is
-    identically zero, e.g. odd orders under a Gaussian driver).
+    identically zero, e.g. odd orders under a Gaussian driver).  The values
+    come from `cfg.table`, so `chi_override` applies as in every other output.
     """
     if len(cfg.T_grid) < 3:
         raise ValueError("convergence study needs at least 3 horizons")
-    kappa_f = stationary_cumulants(driver_cumulants(cfg.driver, 4), cfg.params.lam)
+    tables = [cfg.table(T) for T in cfg.T_grid]
     rows: list[dict] = []
     slopes: dict[int, float | None] = {}
     for r in (2, 3, 4):
+        limit = normalized_cumulant_limit(r, cfg.params, cfg.kappa_f)
         gaps = []
-        for T in cfg.T_grid:
-            scaled = T ** ((r - 2) / 2.0) * normalized_cumulant(r, cfg.params, kappa_f, T)
-            limit = normalized_cumulant_limit(r, cfg.params, kappa_f)
+        for T, table in zip(cfg.T_grid, tables):
+            scaled = T ** ((r - 2) / 2.0) * table.get(r)
             gap = abs(scaled - limit)
             rows.append({"r": r, "T": T, "scaled": scaled, "limit": limit, "gap": gap})
             gaps.append(gap)

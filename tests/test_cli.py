@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from levyou import (
+    ExperimentConfig,
     cumulant_table,
     driver_cumulants,
     normalized_cumulant_limit,
@@ -15,7 +17,6 @@ from levyou import (
 )
 from levyou.cli import main
 from levyou.config import CONFIG_SCHEMA, REPORT_SCHEMA
-from levyou.harness import ExperimentConfig
 
 from conftest import base_config
 
@@ -23,12 +24,6 @@ from conftest import base_config
 def run_cli(subcommand, config_path, out_dir, *extra):
     return main([subcommand, "--config", str(config_path), "--out", str(out_dir),
                  *extra])
-
-
-def test_docs_schemas_in_sync():
-    repo = Path(__file__).resolve().parents[1]
-    assert json.loads((repo / "docs/config_schema.json").read_text()) == CONFIG_SCHEMA
-    assert json.loads((repo / "docs/report_schema.json").read_text()) == REPORT_SCHEMA
 
 
 def test_example_config_validates():
@@ -84,6 +79,15 @@ class TestCumulantsCommand:
         lines = (tmp_path / "cumulants.csv").read_text().strip().split("\n")
         assert lines[0] == "T,r,cumulant,scaled,limit"
         assert len(lines) == 1 + 3  # one T, r in 2..4
+
+    def test_table_columns_aligned(self, write_config, tmp_path, capsys):
+        cfg = base_config(T_grid=[5.0, 10.0, 20.0], p_orders=[2, 3, 4])
+        assert run_cli("cumulants", write_config(cfg), tmp_path, "--format", "table") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + 3 * 3
+        starts = [[m.start() for m in re.finditer(r"\S+", line)] for line in lines]
+        assert len(starts[0]) == 5
+        assert all(s == starts[0] for s in starts)
 
 
 class TestDensityCommand:

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,3 +306,13 @@ def test_fourier_identity_of_hermite_terms(rng):
         im, _ = quad(integrand_im, -half, half, epsabs=1e-11, limit=400)
         want = (1j * u) ** k * math.exp(-0.5 * sigma * u * u)
         assert abs(complex(re, im) - want) < 1e-7
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # Only `expect` on a tabulated test function needs quadrature.
+    code = "import sys, levyou; print('scipy.integrate' in sys.modules)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

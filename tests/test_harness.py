@@ -101,6 +101,22 @@ class TestExperimentConfig:
         h2 = ExperimentConfig.from_dict(base_config(seed=100)).config_hash()
         assert h1 != h2
 
+    @pytest.mark.parametrize("override", [
+        {"sim": {"n_steps": 8}},
+        {"sim": {"n_paths": 3}},
+        {"density_grid": {"lo": -6.0, "hi": 6.0, "n": 121}},
+        {"moments": [1, 2]},
+    ])
+    def test_hash_covers_output_fields(self, override):
+        h1 = ExperimentConfig.from_dict(base_config()).config_hash()
+        h2 = ExperimentConfig.from_dict(base_config(**override)).config_hash()
+        assert h1 != h2
+
+    def test_absent_optional_keys_take_defaults(self):
+        explicit = base_config(density_grid={"lo": -6, "hi": 6, "n": 241},
+                               moments=[1, 2, 3], sim={"n_steps": 64, "n_paths": 1})
+        assert ExperimentConfig.from_dict(explicit) == ExperimentConfig.from_dict(base_config())
+
 
 class TestDrawNormalizedSamples:
     def test_worker_count_does_not_change_samples(self, gamma_ou):
@@ -227,6 +243,14 @@ class TestConvergenceStudy:
         gaps2 = [r["gap"] for r in study.rows if r["r"] == 2]
         assert all(a > b for a, b in zip(gaps2, gaps2[1:]))
         assert -1.2 <= study.slopes[2] <= -0.8
+
+    def test_cumulant_override_applies(self, gamma_ou):
+        params, driver = gamma_ou
+        cfg = ExperimentConfig(params=params, driver=driver,
+                               T_grid=(10.0, 100.0, 1000.0), n_samples=100,
+                               seed=0, workers=1, cumulant_override=((2, 40.0),))
+        study = convergence_study(cfg)
+        assert all(r["scaled"] == 40.0 for r in study.rows if r["r"] == 2)
 
     def test_needs_three_horizons(self, gamma_ou):
         params, driver = gamma_ou
