@@ -1,4 +1,4 @@
-"""Hot numeric kernels of the exact sampler and the bootstrap, in numpy.
+"""Hot numeric kernels of the exact sampler, in numpy.
 
 Each kernel has exactly one implementation.  Segment sums over jumps are
 differences of one running cumulative sum, evaluated at the segment
@@ -61,7 +61,9 @@ def path_recursion(x0, q, eta_d, drift_x, drift_i, a11, a21, a22,
     return X, Y
 
 
-# --- gathered central moments (bootstrap resamples) ------------------------
+# --- gathered central moments of a resample x[idx] -------------------------
+# Not called by the library (its k-statistic SEs are closed-form); the
+# benchmark tracer's smoke test probes it by name.
 
 def gathered_central_moments(x, idx):
     y = x[idx]

@@ -130,12 +130,12 @@ REPORT_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": ["T", "r", "k_stat", "se_boot", "predicted"],
+                "required": ["T", "r", "k_stat", "se", "predicted"],
                 "properties": {
                     "T": {"type": "number"},
                     "r": {"type": "integer", "minimum": 1, "maximum": 4},
                     "k_stat": {"type": "number"},
-                    "se_boot": {"type": "number", "minimum": 0},
+                    "se": {"type": "number", "minimum": 0},
                     "predicted": {"type": "number"},
                 },
             },
@@ -242,6 +242,10 @@ class ExperimentConfig:
             raise ValueError("n_samples must be >= 100")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
+        if self.density_grid[2] < 1 or self.n_steps < 1 or self.n_paths < 1:
+            raise ValueError("density_grid n, sim.n_steps and sim.n_paths must be >= 1")
+        if any(m < 0 for m in self.moments):
+            raise ValueError("moments must be >= 0")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

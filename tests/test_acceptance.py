@@ -98,7 +98,7 @@ def test_03_mc_cumulant_match():
     T, n = 10.0, 200_000
     samples = sample_deviation(params, driver, T, np.random.default_rng(303),
                                size=n) / math.sqrt(T)
-    ks = k_statistics(samples, r_max=3, rng=np.random.default_rng(304))
+    ks = k_statistics(samples, r_max=3)
     details = []
     for r in (2, 3):
         pred = normalized_cumulant(r, params, kappa_f, T)

@@ -6,6 +6,7 @@ import math
 import jsonschema
 import numpy as np
 import pytest
+from scipy import stats
 
 from levyou import (
     DriverSpec,
@@ -13,10 +14,13 @@ from levyou import (
     ModelParams,
     convergence_study,
     draw_normalized_samples,
+    driver_cumulants,
     estimate_indicator,
     k_statistics,
     mean_estimator_demo,
+    normalized_cumulant,
     run_validation,
+    stationary_cumulants,
 )
 from levyou.config import REPORT_SCHEMA
 
@@ -45,25 +49,25 @@ class TestEstimateIndicator:
 
 class TestKStatistics:
     def test_constant_sample(self):
-        ks = k_statistics(np.full(50, 2.5), r_max=4, rng=np.random.default_rng(0))
+        ks = k_statistics(np.full(50, 2.5), r_max=4)
         assert tuple(ks.values) == (2.5, 0.0, 0.0, 0.0)
         assert tuple(ks.se[1:]) == (0.0, 0.0, 0.0)
         # non-dyadic constants leave only rounding residue in the mean
-        ks = k_statistics(np.full(50, 3.3), r_max=4, rng=np.random.default_rng(0))
+        ks = k_statistics(np.full(50, 3.3), r_max=4)
         assert np.all(np.abs(ks.values[1:]) < 1e-25)
 
     def test_two_point_variance(self):
         # k2 = n*m2/(n-1): exactly 2 for the sample {-1, 1}
-        ks = k_statistics(np.array([-1.0, 1.0]), r_max=2, rng=np.random.default_rng(0))
+        ks = k_statistics(np.array([-1.0, 1.0]), r_max=2)
         assert ks.values[1] == 2.0
         big = np.tile([-1.0, 1.0], 500)
-        ks = k_statistics(big, r_max=2, rng=np.random.default_rng(0))
+        ks = k_statistics(big, r_max=2)
         assert ks.values[1] == pytest.approx(big.size / (big.size - 1), rel=1e-14)
 
     def test_exponential_cumulants(self):
         # Exp(1) has cumulants (r-1)!: (1, 1, 2, 6)
         samples = np.random.default_rng(11).exponential(1.0, 1_000_000)
-        ks = k_statistics(samples, r_max=4, rng=np.random.default_rng(12))
+        ks = k_statistics(samples, r_max=4)
         for i, expected in enumerate((1.0, 1.0, 2.0, 6.0)):
             assert abs(ks.values[i] - expected) <= 5.0 * ks.se[i]
 
@@ -72,6 +76,73 @@ class TestKStatistics:
             k_statistics(np.array([1.0, 2.0, 3.0]), r_max=4)
         with pytest.raises(ValueError):
             k_statistics(np.array([1.0]), r_max=1)
+
+    @pytest.mark.parametrize("law, n_var, rel", [
+        # n * Var(k_r) -> these limits (Kendall & Stuart vol. 1, ch. 12):
+        # N(0,1): 1, 2, 6, 24; Exp(1), r <= 3: 1, 8, 216
+        ("normal", (1.0, 2.0, 6.0, 24.0), 0.03),
+        ("exponential", (1.0, 8.0, 216.0), 0.05),
+    ])
+    def test_se_matches_asymptotic_variance(self, law, n_var, rel):
+        rng = np.random.default_rng(31)
+        n = 1_000_000
+        x = rng.standard_normal(n) if law == "normal" else rng.exponential(1.0, n)
+        ks = k_statistics(x, r_max=len(n_var))
+        np.testing.assert_allclose(math.sqrt(n) * ks.se, np.sqrt(n_var), rtol=rel)
+
+    def test_se_matches_numerical_influence_function(self):
+        # IF_r(x_i) is the derivative in eps of the plug-in cumulant at the
+        # empirical law moved by eps towards a point mass at x_i
+        x = np.random.default_rng(5).exponential(1.0, 40)
+        n, eps = x.size, 1e-6
+        uniform, point = np.full(n, 1.0 / n), np.eye(n)
+        infl = np.array([(plug_in_cumulants(x, (1 - eps) * uniform + eps * point[i])
+                          - plug_in_cumulants(x, (1 + eps) * uniform - eps * point[i]))
+                         / (2 * eps) for i in range(n)])
+        np.testing.assert_allclose(k_statistics(x).se, np.sqrt(np.mean(infl ** 2, axis=0) / n),
+                                   rtol=1e-6)
+
+    @pytest.mark.parametrize("driver", [
+        DriverSpec.cpexp(b=1.0, c=1.0, alpha=1.0),
+        DriverSpec.mixed(b=1.5, C=2.0, c=1.0, alpha=1.0),
+    ], ids=["cpexp", "mixed"])
+    def test_coverage_of_1_96_se(self, driver):
+        # |k_r - kappa_r| <= 1.96 se should hold in 95% of independent runs;
+        # the count over n_runs must lie in the central 99.9% binomial band
+        params = ModelParams(lam=1.0, gamma=0.0, beta=1.0, rho=0.5)
+        T, n_runs = 10.0, 200
+        kf = stationary_cumulants(driver_cumulants(driver, 4), params.lam)
+        kappa = np.array([0.0] + [normalized_cumulant(r, params, kf, T) for r in (2, 3, 4)])
+        hits = np.zeros(4, dtype=int)
+        for seed in range(n_runs):
+            ks = k_statistics(draw_normalized_samples(params, driver, T, 20_000, seed))
+            hits += np.abs(ks.values - kappa) <= 1.96 * ks.se
+        lo, hi = stats.binom.interval(0.999, n_runs, 0.95)
+        assert np.all((lo <= hits) & (hits <= hi)), hits
+
+    def test_se_agrees_with_bootstrap(self, gamma_ou):
+        params, driver = gamma_ou
+        samples = draw_normalized_samples(params, driver, 10.0, 100_000, seed=8)
+        ks = k_statistics(samples)
+        np.testing.assert_allclose(ks.se, bootstrap_se(samples, np.random.default_rng(9)),
+                                   rtol=0.2)
+
+
+def plug_in_cumulants(x, w):
+    """Cumulants 1..4 of the discrete law with weights w (summing to 1) at x."""
+    mean = w @ x
+    d = x - mean
+    m2, m3, m4 = w @ d ** 2, w @ d ** 3, w @ d ** 4
+    return np.array([mean, m2, m3, m4 - 3.0 * m2 * m2])
+
+
+def bootstrap_se(samples, rng, n_boot=200, r_max=4):
+    """Reference: the standard deviation of each k-statistic over n_boot
+    nonparametric bootstrap resamples."""
+    n = samples.size
+    boots = np.array([k_statistics(samples[rng.integers(0, n, n)], r_max).values
+                      for _ in range(n_boot)])
+    return boots.std(axis=0, ddof=1)
 
 
 class TestExperimentConfig:
@@ -111,6 +182,16 @@ class TestExperimentConfig:
         h1 = ExperimentConfig.from_dict(base_config()).config_hash()
         h2 = ExperimentConfig.from_dict(base_config(**override)).config_hash()
         assert h1 != h2
+
+    @pytest.mark.parametrize("override", [
+        {"sim": {"n_steps": 0}},
+        {"sim": {"n_paths": 0}},
+        {"density_grid": {"lo": -1.0, "hi": 1.0, "n": 0}},
+        {"moments": [1, -1]},
+    ])
+    def test_rejects_values_below_schema_minimum(self, override):
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict(base_config(**override))
 
     def test_absent_optional_keys_take_defaults(self):
         explicit = base_config(density_grid={"lo": -6, "hi": 6, "n": 241},

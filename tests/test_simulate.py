@@ -76,7 +76,7 @@ class TestDriverCumulants:
         csum = np.concatenate(([0.0], np.cumsum(jumps)))
         offsets = np.concatenate(([0], np.cumsum(counts)))
         z1 = driver.b0 + csum[offsets[1:]] - csum[offsets[:-1]]
-        ks = k_statistics(z1, r_max=3, rng=np.random.default_rng(9))
+        ks = k_statistics(z1, r_max=3)
         for i, expected in enumerate((1.0, 2.0, 6.0)):
             assert abs(ks.values[i] - expected) <= 5.0 * ks.se[i]
 
@@ -103,7 +103,7 @@ class TestStationarySampling:
         kf = stationary_cumulants(driver_cumulants(driver, 4), lam)
         rng = np.random.default_rng(21)
         x = sample_stationary_state(driver, lam, rng, size=1_000_000)
-        ks = k_statistics(x, r_max=4, rng=np.random.default_rng(22))
+        ks = k_statistics(x, r_max=4)
         for r in range(1, 5):
             assert abs(ks.values[r - 1] - kf.get(r)) <= 5.0 * ks.se[r - 1]
 
@@ -132,7 +132,7 @@ class TestSampleDeviation:
         T = 10.0
         rng = np.random.default_rng(5)
         s = sample_deviation(params, driver, T, rng, size=50_000) / math.sqrt(T)
-        ks = k_statistics(s, r_max=3, rng=np.random.default_rng(6))
+        ks = k_statistics(s, r_max=3)
         for r in (2, 3):
             pred = normalized_cumulant(r, params, gamma_ou_kappa_f, T)
             assert abs(ks.values[r - 1] - pred) <= 5.0 * ks.se[r - 1]
@@ -147,7 +147,7 @@ class TestSampleDeviation:
             pred = normalized_cumulant(2, params, kf, 7.0)
             rng = np.random.default_rng(100 + i)
             s = sample_deviation(params, driver, 7.0, rng, size=100_000) / math.sqrt(7.0)
-            ks = k_statistics(s, r_max=2, rng=np.random.default_rng(200 + i))
+            ks = k_statistics(s, r_max=2)
             assert abs(ks.values[1] - pred) <= 5.0 * ks.se[1]
 
     def test_degenerate_variance_decays_like_one_over_t(self):
