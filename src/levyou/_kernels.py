@@ -1,10 +1,12 @@
 """Hot numeric kernels of the exact sampler, in numpy.
 
-Each kernel has exactly one implementation.  Segment sums over jumps are
-differences of one running cumulative sum, evaluated at the segment
-offsets; the per-step (X, Y) recursion is a scalar loop, since every step
-depends on the one before.  Reference loops that spell out each kernel
-term by term live in tests/test_kernels.py.
+Each kernel has exactly one implementation.  A segment sum over jumps is
+accumulated per segment by `np.bincount`, in jump order starting from zero,
+so each segment's sum depends only on its own jumps: it carries no rounding
+from the segments before it, and it is the same bits whichever block of
+segments it is computed in.  The per-step (X, Y) recursion is a scalar loop,
+since every step depends on the one before.  Reference loops that spell out
+each kernel term by term live in tests/test_kernels.py.
 """
 
 from __future__ import annotations
@@ -12,16 +14,23 @@ from __future__ import annotations
 import numpy as np
 
 
+# --- exact per-segment sums ------------------------------------------------
+# out[i] = sum of values[offsets[i]:offsets[i+1]], offsets starting at 0.
+
+def _segment_sums(values, offsets):
+    n = offsets.size - 1
+    seg = np.repeat(np.arange(n), np.diff(offsets))
+    # bincount returns integer zeros when there are no values at all
+    return np.bincount(seg, weights=values, minlength=n).astype(float, copy=False)
+
+
 # --- jump-part weighted segment sums -------------------------------------
 # out[i] = sum_j (rho + beta*(1-exp(-lam*(T-tau[j])))/lam) * sizes[j]
 # over the slice offsets[i]:offsets[i+1].
 
 def segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T):
-    if tau.size == 0:
-        return np.zeros(offsets.size - 1)
     w = rho + beta * (-np.expm1(-lam * (T - tau))) / lam
-    csum = np.concatenate(([0.0], np.cumsum(w * sizes)))
-    return csum[offsets[1:]] - csum[offsets[:-1]]
+    return _segment_sums(w * sizes, offsets)
 
 
 # --- per-step jump aggregates for the path sampler ------------------------
@@ -30,13 +39,8 @@ def segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T):
 # with k(u) the integrated decay.
 
 def jump_step_sums(jt, js, offsets, lam, dt):
-    n = offsets.size - 1
-    if jt.size == 0:
-        return np.zeros(n), np.zeros(n)
     e = np.exp(-lam * (dt - jt))
-    cs1 = np.concatenate(([0.0], np.cumsum(e * js)))
-    cs2 = np.concatenate(([0.0], np.cumsum((1.0 - e) / lam * js)))
-    return cs1[offsets[1:]] - cs1[offsets[:-1]], cs2[offsets[1:]] - cs2[offsets[:-1]]
+    return _segment_sums(e * js, offsets), _segment_sums((1.0 - e) / lam * js, offsets)
 
 
 # --- exact per-step recursion for (X, Y) ----------------------------------

@@ -34,6 +34,16 @@ __all__ = [
     "write_path_csv",
 ]
 
+# `sample_deviation` draws jump sizes and sums their weights in runs of whole
+# draws holding at most this many jumps (a draw with more is a run of its
+# own), so the per-run arrays stay cache-sized whatever the jump intensity.
+JUMP_BLOCK = 1 << 16
+
+# Largest expected jump count of one sampler call: c*T per draw times the
+# draws of the call.  2**28 arrival times take 2 GiB; a call that expects
+# more is refused before anything is drawn.
+MAX_EXPECTED_JUMPS = 1 << 28
+
 
 @dataclass(frozen=True)
 class DriverSpec:
@@ -128,6 +138,15 @@ def sample_stationary_state(driver: DriverSpec, lam: float, rng: np.random.Gener
     return float(out[0]) if size is None else out
 
 
+def _check_jump_budget(driver: DriverSpec, horizon: float, draws: int) -> None:
+    expected = driver.c * horizon * draws if driver.has_jumps else 0.0
+    if expected > MAX_EXPECTED_JUMPS:
+        raise ValueError(
+            f"one sampler call would draw about {expected:.3g} jumps "
+            f"(c*T = {driver.c * horizon:.3g} per draw, {draws} draw(s)), "
+            f"more than the limit of {MAX_EXPECTED_JUMPS} per call")
+
+
 def expected_terminal(params: ModelParams, driver: DriverSpec, T: float) -> float:
     """E[Y_T] = gamma*T + T*(beta + rho*lam)*kappa_F^(1)."""
     kf1 = driver.b / params.lam
@@ -147,11 +166,17 @@ def sample_deviation(params: ModelParams, driver: DriverSpec, T: float,
 
     Draw order per call: stationary block(s) for X_0, one standard-normal
     block (when C > 0), one Poisson block, then arrival times and jump sizes
-    (when jumps are present).
+    (when jumps are present).  The arrival times of all draws are one block;
+    the sizes follow in consecutive sub-blocks of whole draws (at most
+    JUMP_BLOCK jumps each, unless one draw holds more), which is the same
+    stream as one block of sizes.  Each draw's jump sum depends only on its
+    own jumps, so the result does not depend on JUMP_BLOCK.  Raises
+    ValueError, before drawing, when c*T*size exceeds MAX_EXPECTED_JUMPS.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     n = 1 if size is None else int(size)
+    _check_jump_budget(driver, T, n)
     lam, beta, rho = params.lam, params.beta, params.rho
     kf1 = driver.b / lam
     w1 = kernel_weight_integral(1, params, T)
@@ -164,10 +189,18 @@ def sample_deviation(params: ModelParams, driver: DriverSpec, T: float,
         counts = rng.poisson(driver.c * T, n)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        tau = rng.uniform(0.0, T, total)
-        sizes = rng.exponential(1.0 / driver.alpha, total)
-        out = out + _kernels.segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T)
+        tau = rng.uniform(0.0, T, int(offsets[-1]))
+        i0 = 0
+        while i0 < n:
+            # draws i0..i1-1: the most whole draws within JUMP_BLOCK jumps, at least one
+            lo = int(offsets[i0])
+            i1 = max(i0 + 1, int(np.searchsorted(offsets, lo + JUMP_BLOCK, side="right")) - 1)
+            hi = int(offsets[i1])
+            sizes = rng.exponential(1.0 / driver.alpha, hi - lo)
+            out[i0:i1] += _kernels.segment_weighted_sums(tau[lo:hi], sizes,
+                                                         offsets[i0:i1 + 1] - lo,
+                                                         lam, beta, rho, T)
+            i0 = i1
     return float(out[0]) if size is None else out
 
 
@@ -201,12 +234,14 @@ def sample_path(params: ModelParams, driver: DriverSpec, T: float, n_steps: int,
     times within the step - and recovers the driver increment exactly from
     the state equation, so the law of the path is independent of n_steps.
     Y starts at zero; X starts from the stationary law unless x0 overrides
-    it (diagnostics hook).
+    it (diagnostics hook).  Raises ValueError, before drawing, when c*T
+    exceeds MAX_EXPECTED_JUMPS.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if T <= 0:
         raise ValueError("T must be positive")
+    _check_jump_budget(driver, T, 1)
     rng = np.random.default_rng(seed)
     lam, beta, gamma, rho = params.lam, params.beta, params.gamma, params.rho
     dt = T / n_steps

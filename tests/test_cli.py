@@ -130,6 +130,19 @@ def test_nonpositive_variance_exits_3(subcommand, write_config, tmp_path, capsys
     assert "model degeneracy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["validate", "theta-hat", "simulate"])
+def test_too_many_expected_jumps_exits_2(subcommand, write_config, tmp_path, capsys):
+    # c*T = 1e9 jumps per draw: the samplers refuse it before drawing, while
+    # the closed forms still evaluate
+    cfg = base_config(params={"lam": 1.0, "gamma": 0.0, "beta": 1.0, "rho": 0.0})
+    path = write_config(cfg)
+    overrides = ("--set", "driver.c=1000", "--set", "T_grid=[1e6]")
+    assert run_cli(subcommand, path, tmp_path, *overrides) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "jumps" in err and "Traceback" not in err
+    assert run_cli("cumulants", path, tmp_path, *overrides) == 0
+
+
 class TestExpectCommand:
     def test_moment_columns(self, write_config, tmp_path):
         cfg = base_config(T_grid=[5.0], p_orders=[2], moments=[0, 2])

@@ -82,15 +82,28 @@ def test_segment_weighted_sums_match_reference(jump_workload):
     tau, sizes, offsets = jump_workload
     got = _kernels.segment_weighted_sums(tau, sizes, offsets, 1.0, 1.0, 0.5, 10.0)
     ref = segment_weighted_sums_ref(tau, sizes, offsets, 1.0, 1.0, 0.5, 10.0)
-    np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-12)
     assert np.all(got[::7] == 0.0)  # empty segments stay exactly zero
+
+
+def test_segment_weighted_sums_exact_per_segment_at_high_intensity(rng):
+    # A 4096-draw chunk at c*T = 800: each segment's sum has only its own
+    # rounding, not that of a running sum over the whole chunk.
+    lam, beta, rho, T = 0.5, 1.0, 0.5, 40.0
+    offsets = _offsets(rng.poisson(800.0, 4096))
+    tau = rng.uniform(0.0, T, offsets[-1])
+    sizes = rng.exponential(1.0 / 1.5, offsets[-1])
+    got = _kernels.segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T)
+    terms = ((rho + beta * (-np.expm1(-lam * (T - tau))) / lam) * sizes).tolist()
+    exact = np.array([math.fsum(terms[lo:hi]) for lo, hi in zip(offsets[:-1], offsets[1:])])
+    assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-13
 
 
 def test_segment_weighted_sums_no_jumps():
     offsets = np.zeros(5, dtype=np.int64)
     empty = np.empty(0)
     got = _kernels.segment_weighted_sums(empty, empty, offsets, 1.0, 1.0, 0.5, 10.0)
-    assert np.array_equal(got, np.zeros(4))
+    assert np.array_equal(got, np.zeros(4)) and got.dtype == np.float64
     assert np.array_equal(got, segment_weighted_sums_ref(empty, empty, offsets,
                                                          1.0, 1.0, 0.5, 10.0))
 
@@ -103,7 +116,7 @@ def test_jump_step_sums_match_reference(rng):
     got = _kernels.jump_step_sums(jt, js, offsets, 0.8, 0.05)
     ref = jump_step_sums_ref(jt, js, offsets, 0.8, 0.05)
     for g, r in zip(got, ref):
-        np.testing.assert_allclose(g, r, rtol=1e-9, atol=1e-14)
+        np.testing.assert_allclose(g, r, rtol=1e-13, atol=1e-14)
         assert np.all(g[counts == 0] == 0.0)
 
 
@@ -112,6 +125,7 @@ def test_jump_step_sums_no_jumps():
     empty = np.empty(0)
     dxj, ij = _kernels.jump_step_sums(empty, empty, offsets, 0.8, 0.05)
     assert np.array_equal(dxj, np.zeros(3)) and np.array_equal(ij, np.zeros(3))
+    assert dxj.dtype == ij.dtype == np.float64
 
 
 @pytest.mark.parametrize("with_jumps", [True, False])

@@ -2,11 +2,13 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from levyou import simulate
 from levyou import (
     DriverSpec,
     ModelParams,
@@ -22,6 +24,16 @@ from levyou import (
 )
 
 KS_LEVEL = 0.001
+
+
+def jump_counts(params, driver, T, seed, size):
+    """Per-draw jump counts of sample_deviation(..., default_rng(seed), size),
+    replayed by its documented draw order."""
+    rng = np.random.default_rng(seed)
+    sample_stationary_state(driver, params.lam, rng, size=size)
+    if driver.C > 0:
+        rng.standard_normal(size)
+    return rng.poisson(driver.c * T, size)
 
 
 def path_deviations(params, driver, T, n_steps, n, seed):
@@ -167,6 +179,55 @@ class TestSampleDeviation:
         a = sample_deviation(params, driver, 5.0, np.random.default_rng(77), size=500)
         b = sample_deviation(params, driver, 5.0, np.random.default_rng(77), size=500)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16, 1 << 40])
+    def test_jump_block_does_not_change_draws(self, monkeypatch, block):
+        params = ModelParams(lam=0.5, gamma=0.1, beta=1.0, rho=0.5)
+        driver = DriverSpec.mixed(b=0.8, C=1.0, c=0.6, alpha=1.5)
+        counts = jump_counts(params, driver, 5.0, 31, 2000)
+        assert (counts == 0).any() and counts.max() > 7
+        assert counts.sum() <= simulate.JUMP_BLOCK  # one block by default
+        rng_whole = np.random.default_rng(31)
+        whole = sample_deviation(params, driver, 5.0, rng_whole, size=2000)
+        monkeypatch.setattr(simulate, "JUMP_BLOCK", block)
+        rng_blocked = np.random.default_rng(31)
+        blocked = sample_deviation(params, driver, 5.0, rng_blocked, size=2000)
+        assert np.array_equal(blocked, whole)
+        assert rng_blocked.random() == rng_whole.random()  # same stream position
+
+    def test_jump_memory_is_the_arrival_times(self):
+        # c*T = 800: beyond the one block of arrival times, the jump sums
+        # allocate only JUMP_BLOCK-sized arrays
+        params = ModelParams(lam=0.5, gamma=0.1, beta=1.0, rho=0.5)
+        driver = DriverSpec.mixed(b=0.8, C=1.0, c=20.0, alpha=1.5)
+        tau_bytes = 8 * int(jump_counts(params, driver, 40.0, 32, 4096).sum())
+        tracemalloc.start()
+        try:
+            sample_deviation(params, driver, 40.0, np.random.default_rng(32), size=4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * tau_bytes
+
+    def test_too_many_expected_jumps_is_refused_before_drawing(self, gamma_ou):
+        params, _ = gamma_ou
+        driver = DriverSpec.cpexp(b=1.0, c=1000.0, alpha=1.0)
+        rng = np.random.default_rng(33)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="jumps"):
+            sample_deviation(params, driver, 1e6, rng, size=4096)
+        assert rng.bit_generator.state == state
+
+    def test_expected_jump_limit_is_inclusive(self, gamma_ou, monkeypatch):
+        params, driver = gamma_ou  # c = 1
+        monkeypatch.setattr(simulate, "MAX_EXPECTED_JUMPS", 1000)
+        assert sample_deviation(params, driver, 10.0, np.random.default_rng(34),
+                                size=100).shape == (100,)
+        with pytest.raises(ValueError, match="jumps"):
+            sample_deviation(params, driver, 10.0, np.random.default_rng(34), size=101)
+        with pytest.raises(ValueError, match="jumps"):
+            sample_path(params, driver, 1001.0, 4, seed=34)
+        assert sample_path(params, driver, 1000.0, 4, seed=34).Y.shape == (5,)
 
 
 class TestSamplePath:
