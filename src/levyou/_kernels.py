@@ -1,12 +1,14 @@
 """Hot numeric kernels of the exact sampler, in numpy.
 
 Each kernel has exactly one implementation.  A segment sum over jumps is
-accumulated per segment by `np.bincount`, in jump order starting from zero,
-so each segment's sum depends only on its own jumps: it carries no rounding
-from the segments before it, and it is the same bits whichever block of
-segments it is computed in.  The per-step (X, Y) recursion is a scalar loop,
-since every step depends on the one before.  Reference loops that spell out
-each kernel term by term live in tests/test_kernels.py.
+one `np.add.reduceat` over the segment's own jumps (empty segments are
+zero), so each segment's sum depends only on its own jumps: it carries no
+rounding from the segments before it, and it is the same bits whichever
+block of segments it is computed in.  The jump weights are built in place in
+one array, so a call allocates one jump-sized temporary.  The per-step
+(X, Y) recursion is a scalar loop, since every step depends on the one
+before.  Reference loops that spell out each kernel term by term live in
+tests/test_kernels.py.
 """
 
 from __future__ import annotations
@@ -16,12 +18,16 @@ import numpy as np
 
 # --- exact per-segment sums ------------------------------------------------
 # out[i] = sum of values[offsets[i]:offsets[i+1]], offsets starting at 0.
+# reduceat reads a repeated start as a one-element segment, so it gets only
+# the starts of non-empty segments.
 
 def _segment_sums(values, offsets):
-    n = offsets.size - 1
-    seg = np.repeat(np.arange(n), np.diff(offsets))
-    # bincount returns integer zeros when there are no values at all
-    return np.bincount(seg, weights=values, minlength=n).astype(float, copy=False)
+    starts = offsets[:-1]
+    full = offsets[1:] > starts
+    out = np.zeros(starts.size)
+    if values.size:
+        out[full] = np.add.reduceat(values, starts[full])
+    return out
 
 
 # --- jump-part weighted segment sums -------------------------------------
@@ -29,8 +35,15 @@ def _segment_sums(values, offsets):
 # over the slice offsets[i]:offsets[i+1].
 
 def segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T):
-    w = rho + beta * (-np.expm1(-lam * (T - tau))) / lam
-    return _segment_sums(w * sizes, offsets)
+    # the formula above, operation by operation, in one buffer
+    w = np.subtract(T, tau)
+    w *= -lam
+    np.expm1(w, out=w)
+    w *= -beta
+    w /= lam
+    w += rho
+    w *= sizes
+    return _segment_sums(w, offsets)
 
 
 # --- per-step jump aggregates for the path sampler ------------------------
