@@ -5,9 +5,16 @@ one `np.add.reduceat` over the segment's own jumps (empty segments are
 zero), so each segment's sum depends only on its own jumps: it carries no
 rounding from the segments before it, and it is the same bits whichever
 block of segments it is computed in.  The jump weights are built in place in
-one array, so a call allocates one jump-sized temporary.  The per-step
-(X, Y) recursion is a scalar loop, since every step depends on the one
-before.  Reference loops that spell out each kernel term by term live in
+one array, so a call allocates one jump-sized temporary.
+
+The per-step X update of the path sampler is affine with one constant
+factor, x' = q*x + c_k, so X is a doubling scan: ceil(log2 n) whole-array
+passes in place of a loop over steps, and Y is one cumsum of per-step
+increments computed from X elementwise.  The scan evaluates the same exact
+per-step law as the loop; it only groups the sum q^k*x0 + sum_j q^(k-j)*c_j
+differently, so X and Y differ from a loop's in the last digits (and are
+no less accurate), while the random stream and the path law are unchanged.
+Reference loops that spell out each kernel term by term live in
 tests/test_kernels.py.
 """
 
@@ -57,24 +64,36 @@ def jump_step_sums(jt, js, offsets, lam, dt):
 
 
 # --- exact per-step recursion for (X, Y) ----------------------------------
-# x' = q*x + drift_x + a11*g1 + dxj ;  step integral i = eta_d*x + drift_i
-# + a21*g1 + a22*g2 + ij ;  dz recovered exactly from dz = (x'-x) + lam*i.
+# x' = q*x + c_k with c_k = drift_x + a11*g1 + dxj ;  step integral i =
+# eta_d*x + drift_i + a21*g1 + a22*g2 + ij ;  dz recovered exactly from
+# dz = (x'-x) + lam*i ;  y' = y + gamma*dt + beta*i + rho*dz.
+# X is a doubling scan (Hillis-Steele): with X[1:] holding c_k (and q*x0
+# folded into the first), the pass at stride s adds q^s times the value s
+# steps back, so after the passes s = 1, 2, 4, ... < n every X[k] is
+# q^k*x0 + sum_j q^(k-j)*c_j.  Each pass's right-hand side is a fresh array,
+# so it reads the values from before the pass.  q^s is one pow call: squaring
+# q^s pass by pass compounds a relative error that grows like s*eps.
 
 def path_recursion(x0, q, eta_d, drift_x, drift_i, a11, a21, a22,
                    g1, g2, dxj, ij, lam, beta, gamma, rho, dt):
     n = g1.size
     X = np.empty(n + 1)
-    Y = np.empty(n + 1)
     X[0] = x0
+    c = X[1:]
+    np.multiply(a11, g1, out=c)
+    c += drift_x
+    c += dxj
+    c[0] += q * x0
+    s = 1
+    while s < n:
+        c[s:] += q ** s * c[:-s]
+        s *= 2
+    x = X[:-1]
+    i_step = eta_d * x + drift_i + a21 * g1 + a22 * g2 + ij
+    dz = (X[1:] - x) + lam * i_step
+    Y = np.empty(n + 1)
     Y[0] = 0.0
-    x = x0
-    for k in range(n):
-        i_step = eta_d * x + drift_i + a21 * g1[k] + a22 * g2[k] + ij[k]
-        x_new = q * x + drift_x + a11 * g1[k] + dxj[k]
-        dz = (x_new - x) + lam * i_step
-        Y[k + 1] = Y[k] + gamma * dt + beta * i_step + rho * dz
-        X[k + 1] = x_new
-        x = x_new
+    np.cumsum(gamma * dt + beta * i_step + rho * dz, out=Y[1:])
     return X, Y
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .config import (
 )
 from .cumulants import normalized_cumulant_limit
 from .edgeworth import (
+    GrowthBoundError,
     NonPositiveVarianceError,
     TestFunction,
     cdf,
@@ -129,7 +131,10 @@ def cmd_density(ecfg: ExperimentConfig, args) -> int:
 
 
 def cmd_expect(ecfg: ExperimentConfig, args) -> int:
+    # A moment above its order's growth bound has no expansion value: its
+    # rows read nan, with one note per (p, m), so every row is still written.
     rows = []
+    noted = set()
     for T in ecfg.T_grid:
         table = ecfg.table(T)
         for p in ecfg.p_orders:
@@ -139,8 +144,16 @@ def cmd_expect(ecfg: ExperimentConfig, args) -> int:
                              "value": cdf(a, ec)})
             for m in ecfg.moments:
                 f = TestFunction.polynomial([0.0] * m + [1.0])
+                try:
+                    value = expect(f, ec)
+                except GrowthBoundError as e:
+                    value = math.nan
+                    if (p, m) not in noted:
+                        noted.add((p, m))
+                        print(f"note: p={p} moment {m}: {e}; written as nan",
+                              file=sys.stderr)
                 rows.append({"T": T, "p": p, "kind": "moment", "arg": float(m),
-                             "value": expect(f, ec)})
+                             "value": value})
     _write_rows(rows, ["T", "p", "kind", "arg", "value"],
                 Path(args.out), "expect", args.format)
     return _EXIT_OK

@@ -11,7 +11,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 from .cumulants import (
@@ -202,15 +202,25 @@ def apply_override(cfg: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
-def validate_config(cfg: dict) -> None:
-    """Validate against the documented schema; raise ConfigError on failure."""
+@cache
+def _config_validator():
+    """CONFIG_SCHEMA's validator, checked and built on first use only: the
+    jsonschema import and the schema check cost more than a validation."""
     import jsonschema  # imported here so that `import levyou` does not pay for it
 
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        path = ".".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ConfigError(f"config schema violation at {path}: {e.message}") from e
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
+
+
+def validate_config(cfg: dict) -> None:
+    """Validate against the documented schema; raise ConfigError on failure."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_config_validator().iter_errors(cfg))
+    if error is not None:
+        path = ".".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config schema violation at {path}: {error.message}")
 
 
 @dataclass(frozen=True)

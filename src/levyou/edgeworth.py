@@ -53,6 +53,11 @@ class NonPositiveVarianceError(ValueError):
     """
 
 
+class GrowthBoundError(ValueError):
+    """A polynomial test function grows faster than the order-p expansion
+    allows: its degree exceeds the growth bound 2*(p//2)."""
+
+
 @dataclass(frozen=True)
 class ExpansionCoefficients:
     """Assembled coefficients of the order-p expansion.
@@ -244,7 +249,7 @@ def expect(f: TestFunction, ec: ExpansionCoefficients) -> float:
     if f.kind == "polynomial":
         p0 = 2 * (ec.p // 2)
         if f.degree > p0:
-            raise ValueError(f"polynomial degree {f.degree} exceeds growth bound {p0}")
+            raise GrowthBoundError(f"polynomial degree {f.degree} exceeds growth bound {p0}")
         total = 0.0
         for m, c in enumerate(f.coeffs):
             if c == 0.0:

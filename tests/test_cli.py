@@ -1,5 +1,6 @@
 """CLI surface: exit codes, file formats, determinism, schema round-trips."""
 
+import csv
 import json
 import math
 import re
@@ -10,15 +11,20 @@ import pytest
 
 from levyou import (
     ExperimentConfig,
+    cdf,
     cumulant_table,
     driver_cumulants,
+    expansion_coefficients,
     normalized_cumulant_limit,
+    sample_path,
     stationary_cumulants,
 )
 from levyou.cli import main
 from levyou.config import CONFIG_SCHEMA, REPORT_SCHEMA
 
 from conftest import base_config
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_gamma_ou.json"
 
 
 def run_cli(subcommand, config_path, out_dir, *extra):
@@ -27,8 +33,7 @@ def run_cli(subcommand, config_path, out_dir, *extra):
 
 
 def test_example_config_validates():
-    repo = Path(__file__).resolve().parents[1]
-    example = json.loads((repo / "docs/example_gamma_ou.json").read_text())
+    example = json.loads(EXAMPLE.read_text())
     import jsonschema
     jsonschema.validate(example, CONFIG_SCHEMA)
 
@@ -155,6 +160,32 @@ class TestExpectCommand:
         assert by_kind[("moment", 0.0)] == pytest.approx(1.0, abs=1e-12)
         assert by_kind[("moment", 2.0)] == pytest.approx(sigma, rel=1e-13)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_example_moments_above_growth_bound_are_nan(self, fmt, tmp_path, capsys):
+        # The example asks for moments up to 3; p = 2 and p = 3 allow degree
+        # <= 2, so those rows read nan and every other row is a number.
+        assert run_cli("expect", EXAMPLE, tmp_path, "--format", fmt) == 0
+        err = capsys.readouterr().err
+        text = (tmp_path / f"expect.{fmt}").read_text()
+        if fmt == "json":
+            assert "NaN" in text
+            rows = json.loads(text)["rows"]
+        else:
+            assert ",nan\n" in text
+            rows = [{"T": float(r["T"]), "p": int(r["p"]), "kind": r["kind"],
+                     "arg": float(r["arg"]), "value": float(r["value"])}
+                    for r in csv.DictReader(text.splitlines())]
+        assert len(rows) == 3 * 3 * (3 + 3)  # T_grid x p_orders x (test_points + moments)
+        nan_rows = [(r["T"], r["p"], r["arg"]) for r in rows if math.isnan(r["value"])]
+        assert sorted(nan_rows) == [(T, p, 3.0) for T in (5.0, 10.0, 20.0) for p in (2, 3)]
+        assert err.count("note:") == 2 and "Traceback" not in err
+        assert "p=2 moment 3" in err and "p=3 moment 3" in err
+        ecfg = ExperimentConfig.from_dict(json.loads(EXAMPLE.read_text()))
+        for r in rows:
+            if r["kind"] == "indicator_le":
+                ec = expansion_coefficients(r["p"], ecfg.table(r["T"]))
+                assert r["value"] == cdf(r["arg"], ec)
+
 
 class TestSimulateCommand:
     def test_path_files_written(self, write_config, tmp_path):
@@ -166,6 +197,22 @@ class TestSimulateCommand:
             assert len(lines) == 10
         summary = json.loads((tmp_path / "simulate_summary.json").read_text())
         assert len(summary["deviations"]) == 3
+
+    def test_path_file_round_trips(self, write_config, tmp_path):
+        # float() of every written value gives back the sampled path exactly
+        cfg = base_config(T_grid=[5.0], sim={"n_steps": 10_000, "n_paths": 1})
+        assert run_cli("simulate", write_config(cfg), tmp_path) == 0
+        ecfg = ExperimentConfig.from_dict(cfg)
+        seed = int(np.random.SeedSequence(ecfg.seed, spawn_key=(0,)).generate_state(1)[0])
+        path = sample_path(ecfg.params, ecfg.driver, 5.0, 10_000, seed=seed)
+        lines = (tmp_path / "path_000.csv").read_text().splitlines()
+        assert lines[0] == "t,X,Y" and len(lines) == 10_002
+        t, X, Y = (np.array(col) for col in zip(*(map(float, line.split(","))
+                                                   for line in lines[1:])))
+        assert np.array_equal(t, path.times)
+        assert np.array_equal(X, path.X) and np.array_equal(Y, path.Y)
+        summary = json.loads((tmp_path / "simulate_summary.json").read_text())
+        assert summary["deviations"] == [path.deviation]
 
 
 class TestValidateCommand:

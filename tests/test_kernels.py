@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from levyou import _kernels
+from levyou.cumulants import integrated_decay
+from levyou.simulate import _step_gaussian_cholesky
 
 
 # --- reference loops (oracles) ---------------------------------------------
@@ -128,8 +130,37 @@ def test_jump_step_sums_no_jumps():
     assert dxj.dtype == ij.dtype == np.float64
 
 
+def _scaled_errors(got, ref):
+    """Max |error| of X and of Y relative to the path's scale, the largest
+    |value| of X and Y together: Y's increments carry X's rounding through
+    dz = x' - x, so Y's error scales with |X| even where |Y| is small."""
+    scale = max(np.max(np.abs(v)) for v in ref)
+    return [float(np.max(np.abs(g - r)) / scale) for g, r in zip(got, ref)]
+
+
+def _path_args(rng, n, lam, dt):
+    """path_recursion arguments as sample_path builds them, for a mixed
+    driver (b = 0.5, C = 1, c = 1, alpha = 1) and beta = 1, gamma = 0.2,
+    rho = 0.5, starting from a stationary draw."""
+    q = math.exp(-lam * dt)
+    eta_d = integrated_decay(lam, dt)
+    b0 = 0.5 - 1.0
+    a11, a21, a22 = _step_gaussian_cholesky(1.0, lam, dt)
+    counts = rng.poisson(dt, n)
+    offsets = _offsets(counts)
+    jt = rng.uniform(0.0, dt, offsets[-1])
+    js = rng.exponential(1.0, offsets[-1])
+    dxj, ij = _kernels.jump_step_sums(jt, js, offsets, lam, dt)
+    x0 = b0 / lam + rng.gamma(1.0 / lam, 1.0)
+    return (x0, q, eta_d, b0 * eta_d, b0 * (dt - eta_d) / lam, a11, a21, a22,
+            rng.standard_normal(n), rng.standard_normal(n), dxj, ij,
+            lam, 1.0, 0.2, 0.5, dt)
+
+
 @pytest.mark.parametrize("with_jumps", [True, False])
 def test_path_recursion_matches_reference(rng, with_jumps):
+    # The scan sums q^k*x0 + sum_j q^(k-j)*c_j in another grouping than the
+    # loop, so the two agree to rounding, not bit for bit.
     n = 500
     g1 = rng.standard_normal(n)
     g2 = rng.standard_normal(n)
@@ -140,8 +171,49 @@ def test_path_recursion_matches_reference(rng, with_jumps):
     X, Y = _kernels.path_recursion(*args)
     X_ref, Y_ref = path_recursion_ref(*args)
     assert X.shape == Y.shape == (n + 1,)
-    assert np.array_equal(X, X_ref)  # same operations in the same order
-    np.testing.assert_allclose(Y, Y_ref, rtol=1e-12, atol=1e-14)
+    assert X[0] == X_ref[0] and Y[0] == 0.0
+    assert max(_scaled_errors((X, Y), (X_ref, Y_ref))) <= 1e-12
+
+
+@pytest.mark.parametrize("n, lam_dt", [
+    (1, 0.1),       # no scan pass
+    (2, 0.1),       # one pass
+    (1000, 0.1),    # n not a power of two
+    (777, 1e-5),
+    (300, 800.0),   # q = exp(-800) underflows to 0: X is c_k alone
+])
+def test_path_recursion_edge_cases_match_reference(rng, n, lam_dt):
+    lam = 1.0
+    args = _path_args(rng, n, lam, lam_dt / lam)
+    got = _kernels.path_recursion(*args)
+    assert got[0].shape == got[1].shape == (n + 1,)
+    assert max(_scaled_errors(got, path_recursion_ref(*args))) <= 1e-12
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs an extended-precision np.longdouble (x86-64)")
+@pytest.mark.parametrize("lam, dt", [(0.01, 1e-3), (0.05, 1e-3), (1.0, 0.1), (1.0, 3.0)])
+def test_path_recursion_extended_precision_oracle(rng, lam, dt):
+    """The scan is at least as accurate as the float64 loop.
+
+    The oracle is the reference loop run on the same float64 inputs in
+    np.longdouble; the test is skipped where np.longdouble is float64 (its
+    eps above 1e-18), as on some non-x86 platforms.  At lam*dt >= 0.1 both
+    errors are the rounding of the last few operations, a few ulps of the
+    path's scale (its largest |value| of X and Y), and their ratio is noise: the comparison with the loop
+    allows four ulps (4*eps relative to scale) below which it is not made.
+    """
+    n = 20_000
+    args = _path_args(rng, n, lam, dt)
+    wide = tuple(np.asarray(a, dtype=np.longdouble) if isinstance(a, np.ndarray)
+                 else np.longdouble(a) for a in args)
+    oracle = path_recursion_ref(*wide)
+    scan_err = _scaled_errors(_kernels.path_recursion(*args), oracle)
+    loop_err = _scaled_errors(path_recursion_ref(*args), oracle)
+    eps = np.finfo(np.float64).eps
+    for scan, loop in zip(scan_err, loop_err):
+        assert scan <= 1e-12
+        assert scan <= max(1.5 * loop, 4 * eps)
 
 
 def test_gathered_central_moments_match_reference(rng):
