@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    ConfigError,
     ExperimentConfig,
     apply_override,
     load_config,
@@ -247,17 +246,15 @@ def main(argv=None) -> int:
             cfg["workers"] = args.workers
         validate_config(cfg)
         ecfg = ExperimentConfig.from_dict(cfg)
-    except (ValueError, ConfigError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return _EXIT_CONFIG
-    Path(args.out).mkdir(parents=True, exist_ok=True)
-    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
         return _DISPATCH[args.subcommand](ecfg, args)
     except NonPositiveVarianceError as e:
         print(f"model degeneracy: {e}", file=sys.stderr)
         return _EXIT_DEGENERATE
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
+    except (ValueError, ArithmeticError, MemoryError, OSError) as e:
+        # e.g. values outside float range, unaffordable sizes, an unwritable --out
+        detail = e if isinstance(e, ValueError) else f"{type(e).__name__}: {e}"
+        print(f"config error: {detail}", file=sys.stderr)
         return _EXIT_CONFIG
 
 

@@ -158,7 +158,7 @@ REPORT_SCHEMA = {
 }
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid configuration file, override, or schema violation."""
 
 

@@ -154,8 +154,8 @@ class MCReport:
     footnotes: tuple[str, ...]
     wall_time_s: float
 
-    def to_json_dict(self, include_timing: bool = True) -> dict:
-        d = {
+    def to_json_dict(self) -> dict:
+        return {
             "config_hash": self.config_hash,
             "degenerate": self.degenerate,
             "partial": self.partial,
@@ -163,10 +163,8 @@ class MCReport:
             "cumulants": self.cumulants,
             "checks": self.checks,
             "footnotes": list(self.footnotes),
+            "meta": {"wall_time_s": self.wall_time_s},
         }
-        if include_timing:
-            d["meta"] = {"wall_time_s": self.wall_time_s}
-        return d
 
     def write_cells_csv(self, fileobj) -> None:
         fileobj.write("T,a,p,empirical,se,psi_p,gap,informative\n")

@@ -148,6 +148,26 @@ def test_too_many_expected_jumps_exits_2(subcommand, write_config, tmp_path, cap
     assert run_cli("cumulants", path, tmp_path, *overrides) == 0
 
 
+@pytest.mark.parametrize("subcommand, overrides", [
+    ("cumulants", ["driver.alpha=1e-200"]),  # ZeroDivisionError
+    ("cumulants", ["p_orders=[12]", "T_grid=[1e300]"]),  # OverflowError
+    ("cumulants", ["p_orders=[12]", "params.lam=1e-30", "T_grid=[1e40]"]),  # ZeroDivisionError
+    ("density", ["params.lam=1e300", "p_orders=[12]"]),  # OverflowError
+    # 8 PB of grid, beyond the address space, so the allocation fails at once
+    ("density", ["density_grid.n=1000000000000000"]),  # MemoryError
+    ("cumulants", None),  # --out names an existing file: FileExistsError
+], ids=["alpha-tiny", "T-huge", "lam-tiny", "lam-huge", "grid-huge", "out-is-file"])
+def test_schema_valid_extremes_exit_2(subcommand, overrides, tmp_path, capsys):
+    out = tmp_path / "out"
+    if overrides is None:
+        out.write_text("")
+        overrides = []
+    extra = [arg for o in overrides for arg in ("--set", o)]
+    assert run_cli(subcommand, EXAMPLE, out, *extra) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
 class TestExpectCommand:
     def test_moment_columns(self, write_config, tmp_path):
         cfg = base_config(T_grid=[5.0], p_orders=[2], moments=[0, 2])

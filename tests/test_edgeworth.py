@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermeval
 from scipy.integrate import quad
 
 from levyou import (
@@ -16,11 +17,14 @@ from levyou import (
     TestFunction,
     cdf,
     charfn_consistency,
+    cumulant_table,
     density,
+    driver_cumulants,
     expansion_coefficients,
     expect,
     hermite,
     hermite_moment,
+    stationary_cumulants,
 )
 from levyou.edgeworth import negative_density_report
 
@@ -133,6 +137,31 @@ class TestExpansionCoefficients:
         table = CumulantTable(T=4.0, values=(1.0, 0.5))
         with pytest.raises(ValueError):
             expansion_coefficients(4, table)
+
+
+def gamma_ou_expansion(model, p, T):
+    params, driver = model
+    kf = stationary_cumulants(driver_cumulants(driver, 12), params.lam)
+    return expansion_coefficients(p, cumulant_table(12, params, kf, T))
+
+
+def per_piece_quad(ys, vals, ec):
+    """int f g_p for the piecewise-linear f, one quadrature per piece.
+
+    g_p is summed as a HermiteE series, h_k(y; sigma) = sigma^{-k/2} He_k(y / sqrt(sigma)),
+    independently of `density` (and faster for scalar y)."""
+    coef = np.zeros(ec.terms[-1][0] + 1 if ec.terms else 1)
+    coef[0] = 1.0
+    for deg, c in ec.terms:
+        coef[deg] = c * ec.sigma ** (-deg / 2)
+    root = math.sqrt(ec.sigma)
+    total = 0.0
+    for y0, y1, v0, v1 in zip(ys[:-1], ys[1:], vals[:-1], vals[1:]):
+        slope = (v1 - v0) / (y1 - y0)
+        total += quad(lambda y: ((v0 + slope * (y - y0)) * hermeval(y / root, coef)
+                                 * gaussian_pdf(y, ec.sigma)),
+                      y0, y1, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    return total
 
 
 @pytest.fixture()
@@ -259,7 +288,30 @@ class TestExpect:
         oracle = sum(quad(lambda y: (1.0 - abs(y)) * density(y, skewed_ec),
                           a, b, epsabs=1e-12, limit=200)[0]
                      for a, b in ((-1.0, 0.0), (0.0, 1.0)))
-        assert got == pytest.approx(oracle, abs=1e-9)
+        assert got == pytest.approx(oracle, abs=1e-13)
+
+    @pytest.mark.parametrize("n_knots", [2, 50, 400])
+    @pytest.mark.parametrize("T", [2.0, 50.0])
+    @pytest.mark.parametrize("p", [2, 3, 4, 8, 12])
+    def test_tabulated_matches_per_piece_quadrature(self, p, T, n_knots, gamma_ou):
+        # random knots on [-8, 8] leave some pieces ~1e-5 wide with slopes
+        # ~1e5, where the antiderivative differences must not cancel
+        ec = gamma_ou_expansion(gamma_ou, p, T)
+        rng = np.random.default_rng(1000 * p + n_knots + int(T))
+        ys = np.sort(rng.uniform(-8.0, 8.0, n_knots))
+        vals = rng.uniform(-1.0, 1.0, n_knots)
+        got = expect(TestFunction.tabulated(ys, vals), ec)
+        assert abs(got - per_piece_quad(ys, vals, ec)) < (1e-10 if p <= 8 else 1e-9)
+
+    @pytest.mark.parametrize("a", [-1.0, 1.0, 5.0])
+    def test_tabulated_steep_piece(self, a, gamma_ou):
+        # a ramp 1e-6 wide has slope 1e6 while int (y - a) g_p over it is
+        # ~1e-13, so differencing the antiderivatives at its ends would be
+        # ~1e-7 off at p = 12, T = 2
+        ec = gamma_ou_expansion(gamma_ou, 12, 2.0)
+        ys, vals = [a - 2.0, a, a + 1e-6, a + 2.0], [0.0, 0.0, 1.0, 1.0]
+        got = expect(TestFunction.tabulated(ys, vals), ec)
+        assert abs(got - per_piece_quad(ys, vals, ec)) < 4e-11
 
     def test_hermite_moment_values(self):
         assert hermite_moment(2, 0, 1.7) == pytest.approx(1.7, rel=1e-15)
@@ -308,11 +360,11 @@ def test_fourier_identity_of_hermite_terms(rng):
         assert abs(complex(re, im) - want) < 1e-7
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # Only `expect` on a tabulated test function needs quadrature.
-    code = "import sys, levyou; print('scipy.integrate' in sys.modules)"
+def test_import_leaves_scipy_unloaded():
+    # every expectation is closed form, so the runtime never needs scipy
+    code = "import sys, levyou; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code],
                          env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
