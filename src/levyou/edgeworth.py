@@ -89,11 +89,13 @@ def hermite(r: int, y, sigma: float):
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     y_arr = np.asarray(y, dtype=float)
-    h_prev, h = np.ones_like(y_arr), y_arr / sigma
+    h_prev = np.ones_like(y_arr)
+    if r == 0:
+        return float(h_prev) if y_arr.ndim == 0 else h_prev
+    h = y_arr / sigma
     for k in range(1, r):
         h, h_prev = (y_arr * h - k * h_prev) / sigma, h
-    out = h if r else h_prev
-    return float(out) if y_arr.ndim == 0 else out
+    return float(h) if y_arr.ndim == 0 else h
 
 
 def _gaussian_pdf(y, sigma: float):
@@ -102,11 +104,17 @@ def _gaussian_pdf(y, sigma: float):
     return float(out) if y_arr.ndim == 0 else out
 
 
-def _hermite_sum(y, ec: ExpansionCoefficients, s: int, total):
-    """total + S_s(y), where S_s = sum_k coeff_k h_{deg_k - s}(.; sigma)."""
-    for deg, coeff in ec.terms:
-        total = total + coeff * hermite(deg - s, y, ec.sigma)
-    return total
+def _hermite_sum(y, ec: ExpansionCoefficients, s: int, total, weight):
+    """(total + S_s(y)) * weight, where S_s = sum_k coeff_k h_{deg_k - s}(.; sigma).
+
+    The weight is phi or a difference of phi values, and the product is taken
+    as 0 where the weight is 0: there phi has underflowed, a Hermite factor
+    may have overflowed, and inf * 0 would give NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for deg, coeff in ec.terms:
+            total = total + coeff * hermite(deg - s, y, ec.sigma)
+        return np.where(weight == 0.0, 0.0, total * weight)
 
 
 def _hermite_step(r: int, y: np.ndarray, dy: np.ndarray, sigma: float) -> np.ndarray:
@@ -159,7 +167,7 @@ def expansion_coefficients(p: int, table: CumulantTable) -> ExpansionCoefficient
 def density(y, ec: ExpansionCoefficients):
     """Expansion density g_p(y); may be negative for large |y| (signed measure)."""
     y_arr = np.asarray(y, dtype=float)
-    out = _hermite_sum(y_arr, ec, 0, np.ones_like(y_arr)) * _gaussian_pdf(y_arr, ec.sigma)
+    out = _hermite_sum(y_arr, ec, 0, np.ones_like(y_arr), _gaussian_pdf(y_arr, ec.sigma))
     return float(out) if y_arr.ndim == 0 else out
 
 
@@ -171,11 +179,8 @@ def cdf(a, ec: ExpansionCoefficients):
     (total mass one).
     """
     a_arr = np.asarray(a, dtype=float)
-    inf = np.isinf(a_arr)
-    y = np.where(inf, 0.0, a_arr)
-    out = (0.5 * np.asarray(_erfc(-y / math.sqrt(2.0 * ec.sigma)), dtype=float)
-           - _hermite_sum(y, ec, 1, np.zeros_like(y)) * _gaussian_pdf(y, ec.sigma))
-    out = np.where(inf, np.where(a_arr > 0, 1.0, 0.0), out)
+    out = (0.5 * np.asarray(_erfc(-a_arr / math.sqrt(2.0 * ec.sigma)), dtype=float)
+           - _hermite_sum(a_arr, ec, 1, 0.0, _gaussian_pdf(a_arr, ec.sigma)))
     return float(out) if a_arr.ndim == 0 else out
 
 
@@ -267,20 +272,31 @@ def expect(f: TestFunction, ec: ExpansionCoefficients) -> float:
         return total
     if f.kind == "tabulated":
         # Piece [a, b = a + h] with slope m adds f(a) dF + m J, where J = [M - a F]_a^b
-        # = -sigma dphi - a dPhi - phi(b) (h S_1(b) + dS_2) - S_2(a) dphi; each
-        # difference d is formed so that its error shrinks with h, as m may be O(1/h).
+        # = -sigma dphi - a dPhi - h S_1(b) phi(b) - phi(far) dS_2 - S_2(near) dphi, with
+        # near/far the end nearer to/farther from 0.  Each difference d is formed so
+        # that its error shrinks with h, as m may be O(1/h), and a Hermite factor is
+        # only ever multiplied by phi at its own end or one farther out, so where that
+        # phi underflows to 0 the term is 0, not inf * 0.
         ys, vals = (np.asarray(v) for v in f.grid)
         sigma = ec.sigma
         a, b, h = ys[:-1], ys[1:], np.diff(ys)
+        m = np.diff(vals) / h  # 0 on a flat piece, an infinite one included
         pdf = _gaussian_pdf(ys, sigma)
-        d_pdf = pdf[:-1] * np.expm1(-h * (a + b) / (2.0 * sigma))
-        side = np.where(a >= 0.0, 1.0, -1.0)  # erfc's small tail, not 2 - tail
-        erfc_a, erfc_b = _erfc(side * np.stack((a, b)) / math.sqrt(2.0 * sigma)).astype(float)
-        d_norm = 0.5 * side * (erfc_a - erfc_b)
-        d_s2 = sum(coeff * _hermite_step(deg - 2, a, h, sigma) for deg, coeff in ec.terms)
-        j = (-sigma * d_pdf - a * d_norm - _hermite_sum(a, ec, 2, 0.0) * d_pdf
-             - pdf[1:] * (h * _hermite_sum(b, ec, 1, 0.0) + d_s2))
-        return float(np.sum(vals[:-1] * np.diff(cdf(ys, ec)) + np.diff(vals) / h * j))
+        with np.errstate(over="ignore", invalid="ignore"):  # j is not finite on an infinite piece
+            far_a = a + b < 0.0
+            pdf_near = np.where(far_a, pdf[1:], pdf[:-1])
+            pdf_far = np.where(far_a, pdf[:-1], pdf[1:])
+            d_pdf = (np.where(far_a, -pdf_near, pdf_near)
+                     * np.expm1(-h * np.abs(a + b) / (2.0 * sigma)))
+            side = np.where(a >= 0.0, 1.0, -1.0)  # erfc's small tail, not 2 - tail
+            erfc_a, erfc_b = _erfc(side * np.stack((a, b)) / math.sqrt(2.0 * sigma)).astype(float)
+            d_norm = 0.5 * side * (erfc_a - erfc_b)
+            live = pdf_far > 0.0  # elsewhere dS_2 may overflow; it is taken at a = h = 0
+            d_s2 = sum(c * _hermite_step(deg - 2, a * live, h * live, sigma) for deg, c in ec.terms)
+            j = (-sigma * d_pdf - a * d_norm - h * _hermite_sum(b, ec, 1, 0.0, pdf[1:])
+                 - pdf_far * d_s2 - _hermite_sum(np.where(far_a, b, a), ec, 2, 0.0, d_pdf))
+            slope_terms = np.where(m == 0.0, 0.0, m * j)
+        return float(np.sum(vals[:-1] * np.diff(cdf(ys, ec)) + slope_terms))
     raise ValueError(f"unknown test-function kind {f.kind!r}")
 
 

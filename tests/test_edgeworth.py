@@ -14,6 +14,7 @@ from scipy.integrate import quad
 
 from levyou import (
     CumulantTable,
+    ExpansionCoefficients,
     TestFunction,
     cdf,
     charfn_consistency,
@@ -145,6 +146,12 @@ def gamma_ou_expansion(model, p, T):
     return expansion_coefficients(p, cumulant_table(12, params, kf, T))
 
 
+def scaled(ec, c):
+    """The expansion of c Y from that of Y: sigma scales by c^2 and the
+    degree-k coefficient by c^k."""
+    return ExpansionCoefficients(ec.p, ec.sigma * c * c, tuple((d, v * c ** d) for d, v in ec.terms))
+
+
 def per_piece_quad(ys, vals, ec):
     """int f g_p for the piecewise-linear f, one quadrature per piece.
 
@@ -233,6 +240,17 @@ class TestCdf:
         assert isinstance(got, np.ndarray) and got.shape == xs.shape
         assert np.array_equal(got, [cdf(float(x), ec) for x in xs])
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-5])
+    def test_far_tails_where_phi_underflows(self, scale, gamma_ou):
+        # phi is 0 beyond ~38.6 sqrt(sigma) while h_k(y) overflows farther out
+        # (at |y| ~ 1 already for sigma ~ 1e-10, scale 1e-5): the Hermite
+        # terms there are 0, not inf * 0 = NaN
+        ec = scaled(gamma_ou_expansion(gamma_ou, 12, 2.0), scale)
+        ys = np.array([-1e80, -1e12, -50.0, 50.0, 1e12, 1e80]) * math.sqrt(ec.sigma)
+        assert cdf(ys, ec).tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+        assert density(ys, ec).tolist() == [0.0] * 6
+        assert cdf(float(ys[-1]), ec) == 1.0 and density(float(ys[0]), ec) == 0.0
+
     def test_scalar_gives_float_and_infinities_are_exact(self, skewed_ec):
         assert type(cdf(0.3, skewed_ec)) is float
         assert type(cdf(np.float64(0.3), skewed_ec)) is float
@@ -312,6 +330,35 @@ class TestExpect:
         ys, vals = [a - 2.0, a, a + 1e-6, a + 2.0], [0.0, 0.0, 1.0, 1.0]
         got = expect(TestFunction.tabulated(ys, vals), ec)
         assert abs(got - per_piece_quad(ys, vals, ec)) < 4e-11
+
+    @pytest.mark.parametrize("vals", [[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.3, -2.0, 0.7]])
+    @pytest.mark.parametrize("T", [2.0, 50.0])
+    @pytest.mark.parametrize("p", [2, 4, 8, 12])
+    def test_tabulated_knots_where_phi_underflows(self, p, T, vals, gamma_ou):
+        # phi(+-50 sqrt(sigma)) is 0, so phi(b) - phi(a) must come from the
+        # end nearer 0: phi(a) expm1(...) would be 0 * inf on [-50, 0]
+        ec = gamma_ou_expansion(gamma_ou, p, T)
+        ys = [-50.0 * math.sqrt(ec.sigma), 0.0, 50.0 * math.sqrt(ec.sigma)]
+        got = expect(TestFunction.tabulated(ys, vals), ec)
+        assert abs(got - per_piece_quad(ys, vals, ec)) < (1e-10 if p <= 8 else 1e-9)
+        got = expect(TestFunction.tabulated(ys[::2], vals[::2]), ec)
+        assert abs(got - per_piece_quad(ys[::2], vals[::2], ec)) < (1e-10 if p <= 8 else 1e-9)
+
+    @pytest.mark.parametrize("far", [1e12, math.inf])
+    @pytest.mark.parametrize("scale", [1.0, 1e-5])
+    @pytest.mark.parametrize("p", [2, 8, 12])
+    def test_tabulated_knots_far_beyond_phi_underflow(self, p, scale, far, gamma_ou):
+        # knots at +-1e12 sqrt(sigma) overflow h_k(y) at p = 12, and with
+        # sigma ~ 1e-10 (scale 1e-5) at every p > 2; f is constant outside
+        # +-40 sqrt(sigma), where g_p has no mass in floating point, and the
+        # infinite flat end pieces weigh in through the cdf alone
+        ec = gamma_ou_expansion(gamma_ou, p, 2.0)
+        inner = [r * math.sqrt(ec.sigma) for r in (-40.0, -1.0, 0.0, 2.0, 40.0)]
+        vals = [0.5, 1.0, -1.0, 2.0, 0.25]
+        ys = [-far * math.sqrt(ec.sigma)] + inner + [far * math.sqrt(ec.sigma)]
+        got = expect(TestFunction.tabulated([scale * y for y in ys], [0.5] + vals + [0.25]),
+                     scaled(ec, scale))
+        assert abs(got - per_piece_quad(inner, vals, ec)) < (1e-10 if p <= 8 else 1e-9)
 
     def test_hermite_moment_values(self):
         assert hermite_moment(2, 0, 1.7) == pytest.approx(1.7, rel=1e-15)
