@@ -75,6 +75,8 @@ class ExpansionCoefficients:
             raise ValueError(f"sigma must be finite, got {self.sigma!r}")
         if not all(math.isfinite(c) for _, c in self.terms):
             raise ValueError("all coefficients must be finite")
+        if not all(deg >= 3 for deg, _ in self.terms):
+            raise ValueError("Hermite degrees k+2l of the terms must be >= 3")
 
 
 def hermite(r: int, y, sigma: float):
@@ -89,13 +91,16 @@ def hermite(r: int, y, sigma: float):
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     y_arr = np.asarray(y, dtype=float)
-    h_prev = np.ones_like(y_arr)
-    if r == 0:
-        return float(h_prev) if y_arr.ndim == 0 else h_prev
-    h = y_arr / sigma
-    for k in range(1, r):
-        h, h_prev = (y_arr * h - k * h_prev) / sigma, h
+    h = _hermite_values(r, y_arr, sigma)[r]
     return float(h) if y_arr.ndim == 0 else h
+
+
+def _hermite_values(r: int, y: np.ndarray, sigma: float) -> list[np.ndarray]:
+    """[h_0(y), ..., h_r(y)] from one running pass of the recurrence."""
+    hs = [np.ones_like(y), y / sigma]
+    for k in range(1, r):
+        hs.append((y * hs[k] - k * hs[k - 1]) / sigma)
+    return hs[:r + 1]
 
 
 def _gaussian_pdf(y, sigma: float):
@@ -112,8 +117,10 @@ def _hermite_sum(y, ec: ExpansionCoefficients, s: int, total, weight):
     may have overflowed, and inf * 0 would give NaN.
     """
     with np.errstate(over="ignore", invalid="ignore"):
+        if ec.terms:
+            hs = _hermite_values(max(deg for deg, _ in ec.terms) - s, y, ec.sigma)
         for deg, coeff in ec.terms:
-            total = total + coeff * hermite(deg - s, y, ec.sigma)
+            total = total + coeff * hs[deg - s]
         return np.where(weight == 0.0, 0.0, total * weight)
 
 

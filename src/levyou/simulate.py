@@ -34,14 +34,16 @@ __all__ = [
     "write_path_csv",
 ]
 
-# `sample_deviation` draws jump sizes and sums their weights in runs of whole
+# `sample_deviation` draws jumps and sums their weights in runs of whole
 # draws holding at most this many jumps (a draw with more is a run of its
 # own), so the per-run arrays stay cache-sized whatever the jump intensity.
 JUMP_BLOCK = 1 << 16
 
 # Largest expected jump count of one sampler call: c*T per draw times the
-# draws of the call.  2**28 arrival times take 2 GiB; a call that expects
-# more is refused before anything is drawn.
+# draws of the call.  It bounds a call's run time and the jump arrays of a
+# single draw (and the one arrival-time block of a generator that cannot
+# jump ahead, 2 GiB at 2**28); a call that expects more is refused before
+# anything is drawn.
 MAX_EXPECTED_JUMPS = 1 << 28
 
 
@@ -147,6 +149,21 @@ def _check_jump_budget(driver: DriverSpec, horizon: float, draws: int) -> None:
             f"more than the limit of {MAX_EXPECTED_JUMPS} per call")
 
 
+def _split_stream(rng: np.random.Generator, m: int) -> np.random.Generator:
+    """A generator at rng's position, with rng itself moved past m doubles."""
+    bg = rng.bit_generator
+    state = bg.state
+    head = type(bg)(0)
+    head.state = state
+    bg.advance(m)
+    if state["has_uint32"]:
+        # advance drops a buffered 32-bit half, which drawing doubles keeps
+        moved = bg.state
+        moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
+        bg.state = moved
+    return np.random.Generator(head)
+
+
 def expected_terminal(params: ModelParams, driver: DriverSpec, T: float) -> float:
     """E[Y_T] = gamma*T + T*(beta + rho*lam)*kappa_F^(1)."""
     kf1 = driver.b / params.lam
@@ -165,13 +182,18 @@ def sample_deviation(params: ModelParams, driver: DriverSpec, T: float,
     with Uniform(0,T) arrival times and Exp(alpha) sizes.
 
     Draw order per call: stationary block(s) for X_0, one standard-normal
-    block (when C > 0), one Poisson block, then arrival times and jump sizes
-    (when jumps are present).  The arrival times of all draws are one block;
-    the sizes follow in consecutive sub-blocks of whole draws (at most
-    JUMP_BLOCK jumps each, unless one draw holds more), which is the same
-    stream as one block of sizes.  Each draw's jump sum depends only on its
-    own jumps, so the result does not depend on JUMP_BLOCK.  Raises
-    ValueError, before drawing, when c*T*size exceeds MAX_EXPECTED_JUMPS.
+    block (when C > 0), one Poisson block, then, when jumps are present, the
+    m arrival times of all draws followed by their m sizes, as if each were
+    one block.  Both are drawn in runs of whole draws (at most JUMP_BLOCK
+    jumps each, unless one draw holds more).  For a PCG64 or PCG64DXSM
+    stream the arrival times come from a copy of the generator and the
+    generator itself jumps ahead past them to the sizes, so a call holds
+    O(size + max(JUMP_BLOCK, largest draw)) memory whatever c*T is; other
+    bit generators draw the arrival times as one block.  Either way the
+    draws and the generator's final position are the same.  Each draw's
+    jump sum depends only on its own jumps, so the result does not depend on
+    JUMP_BLOCK.  Raises ValueError, before drawing, when c*T*size exceeds
+    MAX_EXPECTED_JUMPS.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -189,15 +211,23 @@ def sample_deviation(params: ModelParams, driver: DriverSpec, T: float,
         counts = rng.poisson(driver.c * T, n)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        tau = rng.uniform(0.0, T, int(offsets[-1]))
+        m = int(offsets[-1])
+        # PCG64(DXSM).advance(k) skips exactly k 64-bit outputs, which is k
+        # doubles; Philox's advance counts blocks of four outputs, and
+        # MT19937 and SFC64 have none
+        if m > JUMP_BLOCK and type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM):
+            tau, tau_rng = None, _split_stream(rng, m)
+        else:
+            tau = rng.uniform(0.0, T, m)
         i0 = 0
         while i0 < n:
             # draws i0..i1-1: the most whole draws within JUMP_BLOCK jumps, at least one
             lo = int(offsets[i0])
             i1 = max(i0 + 1, int(np.searchsorted(offsets, lo + JUMP_BLOCK, side="right")) - 1)
             hi = int(offsets[i1])
+            run_tau = tau_rng.uniform(0.0, T, hi - lo) if tau is None else tau[lo:hi]
             sizes = rng.exponential(1.0 / driver.alpha, hi - lo)
-            out[i0:i1] += _kernels.segment_weighted_sums(tau[lo:hi], sizes,
+            out[i0:i1] += _kernels.segment_weighted_sums(run_tau, sizes,
                                                          offsets[i0:i1 + 1] - lo,
                                                          lam, beta, rho, T)
             i0 = i1

@@ -27,6 +27,7 @@ from levyou import (
     hermite_moment,
     stationary_cumulants,
 )
+from levyou import edgeworth
 from levyou.edgeworth import negative_density_report
 
 
@@ -94,6 +95,26 @@ class TestHermite:
             got = hermite(r, y, sigma)
             assert abs(got - oracle) / abs(oracle) < 1e-4
 
+    @pytest.mark.parametrize("p", range(3, 13))
+    def test_running_hermite_sum_matches_per_term_form(self, gamma_ou, p):
+        # one running recurrence gives each h_r bit for bit as a fresh
+        # hermite(r) call, and the terms are added in the same order
+        ec = gamma_ou_expansion(gamma_ou, p, 7.0)
+
+        def per_term(y, s, total, weight):
+            for deg, coeff in ec.terms:
+                total = total + coeff * hermite(deg - s, y, ec.sigma)
+            return total * weight
+
+        ys = np.array([-40.0, -3.1, -0.2, 0.0, 0.7, 2.9, 55.0, 1e80])
+        weight = np.linspace(0.5, 1.5, ys.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s, start in ((0, np.ones_like(ys)), (1, 0.0), (2, 0.0)):
+                got = edgeworth._hermite_sum(ys, ec, s, start, weight)
+                assert np.array_equal(got, per_term(ys, s, start, weight), equal_nan=True)
+                y = np.asarray(2.9)
+                assert edgeworth._hermite_sum(y, ec, s, 1.0, 0.5) == per_term(y, s, 1.0, 0.5)
+
 
 class TestExpansionCoefficients:
     def test_p2_no_terms(self):
@@ -133,6 +154,10 @@ class TestExpansionCoefficients:
         assert set(got) == set(want)
         for deg in want:
             assert got[deg] == pytest.approx(want[deg], rel=1e-13, abs=1e-15)
+
+    def test_terms_start_at_degree_three(self):
+        with pytest.raises(ValueError, match="degrees"):
+            ExpansionCoefficients(p=3, sigma=1.0, terms=((1, 0.5),))
 
     def test_table_too_short(self):
         table = CumulantTable(T=4.0, values=(1.0, 0.5))

@@ -14,7 +14,9 @@ from levyou import (
     ModelParams,
     driver_cumulants,
     expected_terminal,
+    integrated_decay,
     k_statistics,
+    kernel_weight_integral,
     normalized_cumulant,
     sample_deviation,
     sample_path,
@@ -34,6 +36,42 @@ def jump_counts(params, driver, T, seed, size):
     if driver.C > 0:
         rng.standard_normal(size)
     return rng.poisson(driver.c * T, size)
+
+
+def replay_deviation(params, driver, T, rng, size):
+    """sample_deviation(..., rng, size) replayed in its documented draw order,
+    each kind of variate drawn as one block.  Returns each draw's part
+    without jumps and its jump sum, the latter by math.fsum."""
+    lam, beta, rho = params.lam, params.beta, params.rho
+    x0 = sample_stationary_state(driver, lam, rng, size=size)
+    base = (beta * integrated_decay(lam, T) * x0 - T * (beta + rho * lam) * driver.b / lam
+            + driver.b0 * kernel_weight_integral(1, params, T))
+    if driver.C > 0:
+        base = base + (math.sqrt(driver.C * kernel_weight_integral(2, params, T))
+                       * rng.standard_normal(size))
+    counts = rng.poisson(driver.c * T, size)
+    tau = rng.uniform(0.0, T, counts.sum())
+    sizes = rng.exponential(1.0 / driver.alpha, counts.sum())
+    terms = ((rho + beta * (-np.expm1(-lam * (T - tau))) / lam) * sizes).tolist()
+    ends = np.cumsum(counts)
+    return base, np.array([math.fsum(terms[e - k:e]) for k, e in zip(counts, ends)])
+
+
+def _pcg64_with_buffered_uint32():
+    rng = np.random.default_rng(35)
+    rng.integers(0, 1 << 32, dtype=np.uint32)  # leaves half an output buffered
+    return rng
+
+
+# generators with a one-output jump-ahead (PCG64, PCG64DXSM) and without
+# (SFC64 has no advance, Philox advances in blocks of four outputs)
+STREAMS = {
+    "PCG64": lambda: np.random.default_rng(35),
+    "PCG64-uint32": _pcg64_with_buffered_uint32,
+    "PCG64DXSM": lambda: np.random.Generator(np.random.PCG64DXSM(35)),
+    "SFC64": lambda: np.random.Generator(np.random.SFC64(35)),
+    "Philox": lambda: np.random.Generator(np.random.Philox(35)),
+}
 
 
 def path_deviations(params, driver, T, n_steps, n, seed):
@@ -195,19 +233,36 @@ class TestSampleDeviation:
         assert np.array_equal(blocked, whole)
         assert rng_blocked.random() == rng_whole.random()  # same stream position
 
-    def test_jump_memory_is_the_arrival_times(self):
-        # c*T = 800: beyond the one block of arrival times, the jump sums
-        # allocate only JUMP_BLOCK-sized arrays
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("make_rng", list(STREAMS.values()), ids=list(STREAMS))
+    def test_draws_replay_the_documented_stream(self, monkeypatch, make_rng, block):
+        # c*T*size = 80,000 jumps: more than one block even at the default size
         params = ModelParams(lam=0.5, gamma=0.1, beta=1.0, rho=0.5)
         driver = DriverSpec.mixed(b=0.8, C=1.0, c=20.0, alpha=1.5)
-        tau_bytes = 8 * int(jump_counts(params, driver, 40.0, 32, 4096).sum())
-        tracemalloc.start()
-        try:
-            sample_deviation(params, driver, 40.0, np.random.default_rng(32), size=4096)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * tau_bytes
+        T, n = 4.0, 1000
+        monkeypatch.setattr(simulate, "JUMP_BLOCK", block)
+        rng, replay = make_rng(), make_rng()
+        got = sample_deviation(params, driver, T, rng, size=n)
+        base, jumps = replay_deviation(params, driver, T, replay, n)
+        assert np.all(np.abs(got - (base + jumps)) <= 1e-13 * (np.abs(base) + np.abs(jumps)))
+        assert rng.random() == replay.random()  # same stream position
+        assert rng.bit_generator.state["has_uint32"] == replay.bit_generator.state["has_uint32"]
+
+    def test_jump_memory_is_bounded_by_the_block(self):
+        # 4096 draws at c*T = 800 and 3200: 3.3M and 13M jumps, whose
+        # arrival times alone would take 26 and 105 MB as one block
+        params = ModelParams(lam=0.5, gamma=0.1, beta=1.0, rho=0.5)
+        size = 4096
+        bound = 4 * 8 * simulate.JUMP_BLOCK + 16 * 8 * size
+        for c in (20.0, 80.0):
+            driver = DriverSpec.mixed(b=0.8, C=1.0, c=c, alpha=1.5)
+            tracemalloc.start()
+            try:
+                sample_deviation(params, driver, 40.0, np.random.default_rng(32), size=size)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (c, peak)
 
     def test_too_many_expected_jumps_is_refused_before_drawing(self, gamma_ou):
         params, _ = gamma_ou
