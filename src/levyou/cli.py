@@ -104,22 +104,32 @@ def cmd_cumulants(ecfg: ExperimentConfig, args) -> int:
 
 
 def cmd_density(ecfg: ExperimentConfig, args) -> int:
+    from ._shortest import write_rows  # imported here so that `import levyou` does not pay for it
+
     if ecfg.params.degenerate:
         print("model is degenerate (beta + rho*lam = 0): the limiting variance "
               "vanishes and no expansion density is emitted", file=sys.stderr)
         return _EXIT_DEGENERATE
+    # a file per horizon, named by T to 6 significant digits: horizons that
+    # round alike would overwrite each other, so refuse them before writing
+    names = {}
+    for T in ecfg.T_grid:
+        name = f"density_T{T:g}.csv"
+        if name in names:
+            raise ValueError(f"horizons T={names[name]!r} and T={T!r} would both "
+                             f"write {name}; make them differ in their first 6 "
+                             "significant digits")
+        names[name] = T
     ys = np.linspace(*ecfg.density_grid)
     out_dir = Path(args.out)
-    for T in ecfg.T_grid:
+    for name, T in names.items():
         table = ecfg.table(T)
         ecs = {p: expansion_coefficients(p, table) for p in ecfg.p_orders}
         cols = {p: density(ys, ec) for p, ec in ecs.items()}
-        path = out_dir / f"density_T{T:g}.csv"
+        path = out_dir / name
         with path.open("w") as fh:
             fh.write("y," + ",".join(f"g_{p}" for p in ecfg.p_orders) + "\n")
-            for i, y in enumerate(ys):
-                vals = ",".join(repr(float(cols[p][i])) for p in ecfg.p_orders)
-                fh.write(f"{float(y)!r},{vals}\n")
+            write_rows(fh, [ys] + [cols[p] for p in ecfg.p_orders])
         print(f"wrote {path}")
         for p in ecfg.p_orders:
             mn, at = negative_density_report(ecs[p])

@@ -28,7 +28,7 @@ from .cumulants import (
     stationary_cumulants,
 )
 from .edgeworth import ExpansionCoefficients, cdf, expansion_coefficients
-from .simulate import DriverSpec, driver_cumulants, sample_deviation
+from .simulate import DriverSpec, _check_jump_budget, driver_cumulants, sample_deviation
 
 __all__ = [
     "CHUNK",
@@ -182,8 +182,11 @@ def run_validation(cfg: ExperimentConfig) -> MCReport:
     """Run the full experiment described by cfg; deterministic given the seed.
 
     On KeyboardInterrupt the horizons completed so far are kept and the
-    report is marked partial.
+    report is marked partial.  Raises ValueError before drawing anything
+    when a chunk of any horizon expects more jumps than MAX_EXPECTED_JUMPS.
     """
+    for T in cfg.T_grid:
+        _check_jump_budget(cfg.driver, T, min(CHUNK, cfg.n_samples))
     t0 = time.perf_counter()
     workers = cfg.resolved_workers()
     cells: list[dict] = []

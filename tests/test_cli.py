@@ -13,12 +13,14 @@ from levyou import (
     ExperimentConfig,
     cdf,
     cumulant_table,
+    density,
     driver_cumulants,
     expansion_coefficients,
     normalized_cumulant_limit,
     sample_path,
     stationary_cumulants,
 )
+from levyou import simulate
 from levyou.cli import main
 from levyou.config import CONFIG_SCHEMA, REPORT_SCHEMA
 
@@ -127,6 +129,29 @@ class TestDensityCommand:
         cfg = base_config(params={"lam": 1.0, "gamma": 0.0, "beta": 1.0, "rho": -1.0})
         assert run_cli("density", write_config(cfg), tmp_path) == 3
 
+    def test_horizons_sharing_a_file_name_exit_2_before_writing(self, write_config,
+                                                               tmp_path, capsys):
+        # 5.0 and 5.0000001 are both "5" to 6 significant digits
+        cfg = base_config(T_grid=[5.0, 5.0000001, 10.0])
+        assert run_cli("density", write_config(cfg), tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "T=5.0 " in err and "T=5.0000001 " in err
+        assert "density_T5.csv" in err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_file_bytes_are_repr_of_each_value(self, write_config, tmp_path):
+        # the per-row repr loop the density command wrote before
+        cfg = base_config(T_grid=[5.0], p_orders=[2, 3, 4],
+                          density_grid={"lo": -12.0, "hi": 12.0, "n": 481})
+        assert run_cli("density", write_config(cfg), tmp_path) == 0
+        ecfg = ExperimentConfig.from_dict(cfg)
+        ys = np.linspace(*ecfg.density_grid)
+        cols = [density(ys, expansion_coefficients(p, ecfg.table(5.0))) for p in (2, 3, 4)]
+        expected = "y,g_2,g_3,g_4\n" + "".join(
+            f"{float(y)!r},{vals}\n" for y, vals in
+            zip(ys, (",".join(repr(float(c[i])) for c in cols) for i in range(ys.size))))
+        assert (tmp_path / "density_T5.csv").read_text() == expected
+
 
 @pytest.mark.parametrize("subcommand", ["density", "validate", "expect"])
 def test_nonpositive_variance_exits_3(subcommand, write_config, tmp_path, capsys):
@@ -146,6 +171,23 @@ def test_too_many_expected_jumps_exits_2(subcommand, write_config, tmp_path, cap
     err = capsys.readouterr().err
     assert "config error" in err and "jumps" in err and "Traceback" not in err
     assert run_cli("cumulants", path, tmp_path, *overrides) == 0
+
+
+@pytest.mark.parametrize("subcommand, horizons", [
+    ("validate", "[1.0,1e6]"), ("theta-hat", "[1e6,1.0]"), ("simulate", "[1e6]"),
+])
+def test_jump_budget_is_checked_before_any_draw(subcommand, horizons, write_config,
+                                                tmp_path, monkeypatch):
+    # every exact draw starts from the stationary state; none may happen, not
+    # even for a horizon within the budget that comes first
+    draws = []
+    real = simulate.sample_stationary_state
+    monkeypatch.setattr(simulate, "sample_stationary_state",
+                        lambda *a, **k: draws.append(1) or real(*a, **k))
+    cfg = base_config(params={"lam": 1.0, "gamma": 0.0, "beta": 1.0, "rho": 0.0})
+    overrides = ("--set", "driver.c=1000", "--set", f"T_grid={horizons}")
+    assert run_cli(subcommand, write_config(cfg), tmp_path, *overrides) == 2
+    assert draws == []
 
 
 @pytest.mark.parametrize("subcommand, overrides", [
