@@ -262,6 +262,13 @@ def _format_block(cols, w) -> str:
         x[:, i] = c
     x = x.reshape(-1)
     n = x.size
+    # Only a value with 1e-4 <= |v| < 2**50 and a fraction can take the fast
+    # path.  A block with none (zeros, integers, tiny tails) is all repr,
+    # and the vector stages would only add to its cost.
+    ax = np.abs(x, out=w("ax", n, np.float64))
+    whole = np.floor(ax, out=w("whole", n, np.float64))
+    if not ((ax >= 1e-4) & (ax < 2.0 ** 50) & (ax != whole)).any():
+        return "".join(",".join(map(repr, row)) + "\n" for row in x.reshape(-1, k).tolist())
     ok, digits, frac, length = _shortest_digits(x, w)
     rest = np.flatnonzero(~ok)
     slow = [repr(v).encode() for v in x[rest].tolist()]

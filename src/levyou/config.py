@@ -3,15 +3,20 @@ and ExperimentConfig, the parsed config that every subcommand runs from.
 
 CONFIG_SCHEMA and REPORT_SCHEMA below are the only copies of the config and
 report schemas; docs/example_gamma_ou.json is a worked example.
+validate_config checks a config against CONFIG_SCHEMA with a small
+interpreter of the draft-07 keywords that schema uses, which also requires
+every number to be finite; the tests check it against jsonschema.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
+import operator
 import os
+import re
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
 
 from .cumulants import (
@@ -202,25 +207,146 @@ def apply_override(cfg: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
-@cache
-def _config_validator():
-    """CONFIG_SCHEMA's validator, checked and built on first use only: the
-    jsonschema import and the schema check cost more than a validation."""
-    import jsonschema  # imported here so that `import levyou` does not pay for it
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-    cls.check_schema(CONFIG_SCHEMA)
-    return cls(CONFIG_SCHEMA)
+
+# Draft-07 types: bool is not a number, and a float with no fraction (1e6)
+# is an integer.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def _equal(a, b) -> bool:
+    """JSON equality, where true and false are not the numbers 1 and 0."""
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+# Each keyword check takes (the keyword's argument, the value, its path, the
+# enclosing schema) and yields the (path, message) of every violation.
+
+def _type(name, value, path, schema):
+    if not _TYPES[name](value):
+        yield path, f"{value!r} is not of type {name!r}"
+    elif isinstance(value, float) and not math.isfinite(value):
+        # Python's json reads NaN and Infinity, which draft-07 calls numbers
+        yield path, f"{value!r} is not a finite number"
+
+
+def _required(names, value, path, schema):
+    if isinstance(value, dict):
+        for name in names:
+            if name not in value:
+                yield path, f"{name!r} is a required property"
+
+
+def _properties(subschemas, value, path, schema):
+    if isinstance(value, dict):
+        for key, sub in subschemas.items():
+            if key in value:
+                yield from _violations(sub, value[key], path + (key,))
+
+
+def _additional_properties(allowed, value, path, schema):
+    if not isinstance(value, dict):
+        return
+    extras = [key for key in value if key not in schema.get("properties", {})]
+    if allowed is False and extras:
+        yield path, f"additional properties are not allowed: {', '.join(map(repr, extras))}"
+    elif isinstance(allowed, dict):
+        for key in extras:
+            yield from _violations(allowed, value[key], path + (key,))
+
+
+def _property_names(sub, value, path, schema):
+    if isinstance(value, dict):
+        for key in value:
+            yield from _violations(sub, key, path)
+
+
+def _pattern(pattern, value, path, schema):
+    if isinstance(value, str) and not re.search(pattern, value):
+        yield path, f"{value!r} does not match {pattern!r}"
+
+
+def _enum(options, value, path, schema):
+    if not any(_equal(value, option) for option in options):
+        yield path, f"{value!r} is not one of {options!r}"
+
+
+def _const(const, value, path, schema):
+    if not _equal(value, const):
+        yield path, f"{const!r} was expected"
+
+
+def _not(sub, value, path, schema):
+    if not any(_violations(sub, value, path)):
+        yield path, f"{value!r} should not be valid under {sub!r}"
+
+
+def _bound(fails, relation):
+    """The check of a keyword that bounds a number."""
+    def check(bound, value, path, schema):
+        if _is_number(value) and fails(value, bound):
+            yield path, f"{value!r} is {relation} {bound!r}"
+    return check
+
+
+def _min_items(count, value, path, schema):
+    if isinstance(value, list) and len(value) < count:
+        yield path, f"{value!r} has fewer than {count} items"
+
+
+def _items(sub, value, path, schema):
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _violations(sub, item, path + (i,))
+
+
+def _annotation(*_):
+    return ()
+
+
+# Every keyword CONFIG_SCHEMA uses, and only those.
+_KEYWORDS = {
+    "$schema": _annotation,
+    "title": _annotation,
+    "type": _type,
+    "required": _required,
+    "properties": _properties,
+    "additionalProperties": _additional_properties,
+    "propertyNames": _property_names,
+    "pattern": _pattern,
+    "enum": _enum,
+    "const": _const,
+    "not": _not,
+    "minimum": _bound(operator.lt, "less than the minimum of"),
+    "maximum": _bound(operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": _bound(operator.le, "less than or equal to the minimum of"),
+    "minItems": _min_items,
+    "items": _items,
+}
+
+
+def _violations(schema: dict, value, path: tuple = ()):
+    """Yield (path, message) for every violation of `schema` by `value`, in
+    the order of the schema's keywords."""
+    for keyword, arg in schema.items():
+        yield from _KEYWORDS[keyword](arg, value, path, schema)
 
 
 def validate_config(cfg: dict) -> None:
-    """Validate against the documented schema; raise ConfigError on failure."""
-    from jsonschema.exceptions import best_match
-
-    error = best_match(_config_validator().iter_errors(cfg))
+    """Validate against CONFIG_SCHEMA, whose numbers must also be finite;
+    raise ConfigError naming the shallowest violation (the first in schema
+    order among equals)."""
+    error = min(_violations(CONFIG_SCHEMA, cfg), key=lambda e: len(e[0]), default=None)
     if error is not None:
-        path = ".".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config schema violation at {path}: {error.message}")
+        path = ".".join(str(p) for p in error[0]) or "<root>"
+        raise ConfigError(f"config schema violation at {path}: {error[1]}")
 
 
 @dataclass(frozen=True)
@@ -307,6 +433,8 @@ class ExperimentConfig:
         }
 
     def config_hash(self) -> str:
+        import hashlib  # imported here so that `import levyou` does not pay for it
+
         blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 

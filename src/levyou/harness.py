@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +134,9 @@ def draw_normalized_samples(params: ModelParams, driver: DriverSpec, T: float,
         for job in jobs:
             work(job)
     else:
+        # imported here so that `import levyou` does not pay for it (and logging's)
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as ex:
             list(ex.map(work, jobs))
     out /= math.sqrt(T)

@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +211,36 @@ def test_schema_valid_extremes_exit_2(subcommand, overrides, tmp_path, capsys):
     assert run_cli(subcommand, EXAMPLE, out, *extra) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand, override", [
+    ("cumulants", "T_grid=[NaN]"),  # wrote nan rows
+    ("cumulants", "T_grid=[Infinity]"),  # wrote nan rows
+    ("validate", "test_points=[NaN]"),  # wrote nan cells
+    ("cumulants", "driver.alpha=Infinity"),  # wrote all-zero cumulants
+])
+def test_non_finite_numbers_are_schema_violations(subcommand, override, write_config,
+                                                  tmp_path, capsys):
+    # Python's json reads NaN and Infinity; the schema's numbers are finite
+    out = tmp_path / "out"
+    assert run_cli(subcommand, write_config(base_config()), out, "--set", override) == 2
+    err = capsys.readouterr().err
+    assert "config schema violation" in err and "Traceback" not in err
+    assert list(out.glob("*")) == []
+
+
+def test_cli_leaves_jsonschema_unloaded(tmp_path):
+    # the schema is checked in config.py itself; jsonschema is a test oracle
+    code = ("import sys; from levyou.cli import main; "
+            "ex, out = sys.argv[1:]; "
+            "codes = [main(['cumulants', '--config', ex, '--out', out, *extra]) "
+            "         for extra in ([], ['--set', 'params.lam=0'])]; "
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code, str(EXAMPLE), str(tmp_path)],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[0, 2] []"
 
 
 class TestExpectCommand:

@@ -89,6 +89,27 @@ def test_rows_join_columns_and_blocks(monkeypatch):
         assert buf.getvalue() == expected
 
 
+@pytest.mark.parametrize("kind", ["zeros", "integers", "tiny"])
+def test_blocks_without_fast_values_skip_the_vector_stages(monkeypatch, kind):
+    # three blocks of such values are all repr; three normal blocks after
+    # them still take the vector stages
+    slow = {"zeros": np.tile([0.0, -0.0], 96),
+            "integers": np.concatenate([np.arange(-48.0, 48.0), 2.0 ** 49 + np.arange(96)]),
+            "tiny": np.random.default_rng(8).uniform(-1e-6, 1e-6, 192)}[kind]
+    rng = np.random.default_rng(9)
+    cols = [np.concatenate([rng.permutation(slow), rng.standard_normal(192)]) for _ in range(3)]
+    vector_blocks = []
+    real = _shortest._shortest_digits
+    monkeypatch.setattr(_shortest, "_shortest_digits",
+                        lambda x, w: vector_blocks.append(x.size) or real(x, w))
+    monkeypatch.setattr(_shortest, "BLOCK_ROWS", 64)
+    buf = io.StringIO()
+    _shortest.write_rows(buf, cols)
+    expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in zip(*cols))
+    assert buf.getvalue() == expected
+    assert vector_blocks == [3 * 64] * 3
+
+
 def test_common_values_take_the_fast_path():
     # values that repr writes positionally with 15-17 digits skip repr
     x = np.random.default_rng(3).standard_normal(100_000)
