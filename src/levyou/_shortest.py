@@ -266,7 +266,8 @@ def _format_block(cols, w) -> str:
     # path.  A block with none (zeros, integers, tiny tails) is all repr,
     # and the vector stages would only add to its cost.
     ax = np.abs(x, out=w("ax", n, np.float64))
-    whole = np.floor(ax, out=w("whole", n, np.float64))
+    with np.errstate(invalid="ignore"):  # a signalling NaN payload is no error here
+        whole = np.floor(ax, out=w("whole", n, np.float64))
     if not ((ax >= 1e-4) & (ax < 2.0 ** 50) & (ax != whole)).any():
         return "".join(",".join(map(repr, row)) + "\n" for row in x.reshape(-1, k).tolist())
     ok, digits, frac, length = _shortest_digits(x, w)

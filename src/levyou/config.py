@@ -97,7 +97,7 @@ CONFIG_SCHEMA = {
         "moments": {"type": "array", "items": {"type": "integer", "minimum": 0}},
         "chi_override": {
             "type": "object",
-            "propertyNames": {"pattern": "^[0-9]+$"},
+            "propertyNames": {"pattern": "^([2-9]|1[0-2])$"},
             "additionalProperties": {"type": "number"},
         },
     },
@@ -382,6 +382,11 @@ class ExperimentConfig:
             raise ValueError("density_grid n, sim.n_steps and sim.n_paths must be >= 1")
         if any(m < 0 for m in self.moments):
             raise ValueError("moments must be >= 0")
+        orders = [r for r, _ in self.cumulant_override]
+        if len(set(orders)) < len(orders) or any(not 2 <= r <= self.table_order for r in orders):
+            # an order outside the table would change nothing but config_hash
+            raise ValueError(f"chi_override orders {orders} must be distinct and in 2.."
+                             f"{self.table_order}, the orders of the cumulant table")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -441,15 +446,20 @@ class ExperimentConfig:
     def resolved_workers(self) -> int:
         return self.workers if self.workers > 0 else (os.cpu_count() or 1)
 
+    @property
+    def table_order(self) -> int:
+        """The highest cumulant order any output needs: the largest expansion
+        order, and at least 4."""
+        return max(max(self.p_orders), 4)
+
     @cached_property
     def kappa_f(self) -> CumulantVector:
-        """Stationary cumulants up to the highest order any output needs:
-        the largest expansion order, and at least 4."""
-        order = max(max(self.p_orders), 4)
-        return stationary_cumulants(driver_cumulants(self.driver, order), self.params.lam)
+        """Stationary cumulants of orders 1 to `table_order`."""
+        return stationary_cumulants(driver_cumulants(self.driver, self.table_order),
+                                    self.params.lam)
 
     def table(self, T: float) -> CumulantTable:
         """Closed-form cumulant table at horizon T, of orders 2 to
-        `kappa_f.order`, with `cumulant_override` applied."""
-        return cumulant_table(self.kappa_f.order, self.params, self.kappa_f, T,
+        `table_order`, with `cumulant_override` applied."""
+        return cumulant_table(self.table_order, self.params, self.kappa_f, T,
                               override=dict(self.cumulant_override))

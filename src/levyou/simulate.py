@@ -34,16 +34,16 @@ __all__ = [
     "write_path_csv",
 ]
 
-# `sample_deviation` draws jumps and sums their weights in runs of whole
-# draws holding at most this many jumps (a draw with more is a run of its
-# own), so the per-run arrays stay cache-sized whatever the jump intensity.
+# Both samplers draw jumps and sum them in runs of whole draws (or path
+# steps) holding at most this many jumps (one with more is a run of its own),
+# so the per-run arrays stay cache-sized whatever the jump intensity.
 JUMP_BLOCK = 1 << 16
 
 # Largest expected jump count of one sampler call: c*T per draw times the
-# draws of the call.  It bounds a call's run time and the jump arrays of a
-# single draw (and the one arrival-time block of a generator that cannot
-# jump ahead, 2 GiB at 2**28); a call that expects more is refused before
-# anything is drawn.
+# draws of the call (one for a path).  It bounds a call's run time and the
+# jump arrays of a single draw or path step (and the one arrival-time block
+# of a generator that cannot jump ahead, 2 GiB at 2**28); a call that
+# expects more is refused before anything is drawn.
 MAX_EXPECTED_JUMPS = 1 << 28
 
 
@@ -164,6 +164,42 @@ def _split_stream(rng: np.random.Generator, m: int) -> np.random.Generator:
     return np.random.Generator(head)
 
 
+def _jump_runs(rng: np.random.Generator, driver: DriverSpec, span: float, n: int):
+    """Compound-Poisson jumps of n spans of length `span`, run by run.
+
+    Yields (i0, i1, times, sizes, offsets) for the most whole spans i0..i1-1
+    within JUMP_BLOCK jumps, at least one: span i0 + k has the arrival times
+    times[offsets[k]:offsets[k+1]] in (0, span), and their Exp(alpha) sizes.
+
+    Draw order: one Poisson(c*span) block of n counts, then the m arrival
+    times of all spans followed by their m sizes, as if each were one block.
+    For a PCG64 or PCG64DXSM stream the arrival times come from a copy of
+    the generator, which itself jumps ahead past them to the sizes, so a run
+    holds O(max(JUMP_BLOCK, largest span)) memory whatever c*span*n is;
+    other bit generators draw the arrival times as one block.  Either way, at
+    any JUMP_BLOCK, the draws and the final stream position are the same.
+    """
+    counts = rng.poisson(driver.c * span, n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    m = int(offsets[-1])
+    # PCG64(DXSM).advance(k) skips exactly k doubles; Philox advances in
+    # blocks of four outputs, and MT19937 and SFC64 cannot advance
+    if m > JUMP_BLOCK and type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM):
+        times, times_rng = None, _split_stream(rng, m)
+    else:
+        times = rng.uniform(0.0, span, m)
+    i0 = 0
+    while i0 < n:
+        lo = int(offsets[i0])
+        i1 = max(i0 + 1, int(np.searchsorted(offsets, lo + JUMP_BLOCK, side="right")) - 1)
+        hi = int(offsets[i1])
+        run_times = times_rng.uniform(0.0, span, hi - lo) if times is None else times[lo:hi]
+        sizes = rng.exponential(1.0 / driver.alpha, hi - lo)
+        yield i0, i1, run_times, sizes, offsets[i0:i1 + 1] - lo
+        i0 = i1
+
+
 def expected_terminal(params: ModelParams, driver: DriverSpec, T: float) -> float:
     """E[Y_T] = gamma*T + T*(beta + rho*lam)*kappa_F^(1)."""
     kf1 = driver.b / params.lam
@@ -182,18 +218,10 @@ def sample_deviation(params: ModelParams, driver: DriverSpec, T: float,
     with Uniform(0,T) arrival times and Exp(alpha) sizes.
 
     Draw order per call: stationary block(s) for X_0, one standard-normal
-    block (when C > 0), one Poisson block, then, when jumps are present, the
-    m arrival times of all draws followed by their m sizes, as if each were
-    one block.  Both are drawn in runs of whole draws (at most JUMP_BLOCK
-    jumps each, unless one draw holds more).  For a PCG64 or PCG64DXSM
-    stream the arrival times come from a copy of the generator and the
-    generator itself jumps ahead past them to the sizes, so a call holds
-    O(size + max(JUMP_BLOCK, largest draw)) memory whatever c*T is; other
-    bit generators draw the arrival times as one block.  Either way the
-    draws and the generator's final position are the same.  Each draw's
-    jump sum depends only on its own jumps, so the result does not depend on
-    JUMP_BLOCK.  Raises ValueError, before drawing, when c*T*size exceeds
-    MAX_EXPECTED_JUMPS.
+    block (when C > 0), then, when jumps are present, the draws' jumps in
+    `_jump_runs`'s order.  Each draw's jump sum depends only on its own
+    jumps, so the result does not depend on JUMP_BLOCK.  Raises ValueError,
+    before drawing, when c*T*size exceeds MAX_EXPECTED_JUMPS.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -202,35 +230,15 @@ def sample_deviation(params: ModelParams, driver: DriverSpec, T: float,
     lam, beta, rho = params.lam, params.beta, params.rho
     kf1 = driver.b / lam
     w1 = kernel_weight_integral(1, params, T)
-    x0 = np.atleast_1d(sample_stationary_state(driver, lam, rng, size=n))
+    x0 = sample_stationary_state(driver, lam, rng, size=n)
     out = beta * integrated_decay(lam, T) * x0 - T * (beta + rho * lam) * kf1 + driver.b0 * w1
     if driver.C > 0:
         w2 = kernel_weight_integral(2, params, T)
         out = out + math.sqrt(driver.C * w2) * rng.standard_normal(n)
     if driver.has_jumps:
-        counts = rng.poisson(driver.c * T, n)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        m = int(offsets[-1])
-        # PCG64(DXSM).advance(k) skips exactly k 64-bit outputs, which is k
-        # doubles; Philox's advance counts blocks of four outputs, and
-        # MT19937 and SFC64 have none
-        if m > JUMP_BLOCK and type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM):
-            tau, tau_rng = None, _split_stream(rng, m)
-        else:
-            tau = rng.uniform(0.0, T, m)
-        i0 = 0
-        while i0 < n:
-            # draws i0..i1-1: the most whole draws within JUMP_BLOCK jumps, at least one
-            lo = int(offsets[i0])
-            i1 = max(i0 + 1, int(np.searchsorted(offsets, lo + JUMP_BLOCK, side="right")) - 1)
-            hi = int(offsets[i1])
-            run_tau = tau_rng.uniform(0.0, T, hi - lo) if tau is None else tau[lo:hi]
-            sizes = rng.exponential(1.0 / driver.alpha, hi - lo)
-            out[i0:i1] += _kernels.segment_weighted_sums(run_tau, sizes,
-                                                         offsets[i0:i1 + 1] - lo,
-                                                         lam, beta, rho, T)
-            i0 = i1
+        for i0, i1, tau, sizes, offsets in _jump_runs(rng, driver, T, n):
+            out[i0:i1] += _kernels.segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T)
+            del tau, sizes  # else these names hold the run while the next is drawn
     return float(out[0]) if size is None else out
 
 
@@ -264,8 +272,10 @@ def sample_path(params: ModelParams, driver: DriverSpec, T: float, n_steps: int,
     times within the step - and recovers the driver increment exactly from
     the state equation, so the law of the path is independent of n_steps.
     Y starts at zero; X starts from the stationary law unless x0 overrides
-    it (diagnostics hook).  Raises ValueError, before drawing, when c*T
-    exceeds MAX_EXPECTED_JUMPS.
+    it (diagnostics hook).  Draw order: X_0 (unless x0 is given), one block
+    of 2*n_steps standard normals (when C > 0), then, when jumps are present,
+    the steps' jumps in `_jump_runs`'s order.  Raises ValueError, before
+    drawing, when c*T exceeds MAX_EXPECTED_JUMPS.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -277,23 +287,13 @@ def sample_path(params: ModelParams, driver: DriverSpec, T: float, n_steps: int,
     dt = T / n_steps
     x_start = sample_stationary_state(driver, lam, rng) if x0 is None else float(x0)
     n = n_steps
-    if driver.C > 0:
-        g1 = rng.standard_normal(n)
-        g2 = rng.standard_normal(n)
-    else:
-        g1 = np.zeros(n)
-        g2 = np.zeros(n)
+    g1, g2 = rng.standard_normal((2, n)) if driver.C > 0 else np.zeros((2, n))
+    dxj, ij = np.zeros(n), np.zeros(n)
     if driver.has_jumps:
-        counts = rng.poisson(driver.c * dt, n)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        jt = rng.uniform(0.0, dt, total)
-        js = rng.exponential(1.0 / driver.alpha, total)
-        dxj, ij = _kernels.jump_step_sums(jt, js, offsets, lam, dt)
-    else:
-        dxj = np.zeros(n)
-        ij = np.zeros(n)
+        sums = [_kernels.jump_step_sums(jt, js, offsets, lam, dt)
+                for _, _, jt, js, offsets in _jump_runs(rng, driver, dt, n)]
+        # the usual single run is kept as it is: copying it costs ~15% of a path
+        dxj, ij = sums[0] if len(sums) == 1 else map(np.concatenate, zip(*sums))
     q = math.exp(-lam * dt)
     eta_d = integrated_decay(lam, dt)
     b0 = driver.b0

@@ -229,6 +229,36 @@ def test_non_finite_numbers_are_schema_violations(subcommand, override, write_co
     assert list(out.glob("*")) == []
 
 
+@pytest.mark.parametrize("overrides", [
+    ['chi_override={"99": 1.0}'],  # outside the schema's 2..12
+    ['chi_override={"0": 1.0}'],
+    ['chi_override={"1": 1.0}'],
+    ['chi_override={"007": 1.0}'],  # would alias "7"
+    ['chi_override={"7": 1.0}'],  # above the table order 4 of the default p_orders
+    ["p_orders=[12]", 'chi_override={"12": 1.0, "12\\n": 2.0}'],  # two names of order 12
+], ids=["99", "0", "1", "007", "7", "12-twice"])
+def test_chi_override_outside_the_table_exits_2(overrides, write_config, tmp_path, capsys):
+    # such a key changed nothing but config_hash
+    out = tmp_path / "out"
+    extra = [arg for o in overrides for arg in ("--set", o)]
+    assert run_cli("cumulants", write_config(base_config()), out, *extra) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "chi_override" in err and "Traceback" not in err
+    assert list(out.glob("*")) == []
+
+
+def test_chi_override_inside_the_table_applies(write_config, tmp_path):
+    # orders 2 to the table order 4 of the default p_orders, both ends included
+    path = write_config(base_config())
+    assert run_cli("cumulants", path, tmp_path / "plain") == 0
+    assert run_cli("cumulants", path, tmp_path / "set",
+                   "--set", 'chi_override={"2": 40.0, "4": 7.0}') == 0
+    plain, set_ = (list(csv.DictReader((tmp_path / d / "cumulants.csv").open()))
+                   for d in ("plain", "set"))
+    assert [row["r"] for row in set_] == ["2", "3", "4"]
+    assert [row["cumulant"] for row in set_] == ["40.0", plain[1]["cumulant"], "7.0"]
+
+
 def test_cli_leaves_jsonschema_unloaded(tmp_path):
     # the schema is checked in config.py itself; jsonschema is a test oracle
     code = ("import sys; from levyou.cli import main; "

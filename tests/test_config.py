@@ -42,7 +42,7 @@ def object_paths(schema, path=()):
 
 PATHS = sorted(set(object_paths(CONFIG_SCHEMA)) - {()}
                | {p + ("extra",) for p in object_paths(CONFIG_SCHEMA)}
-               | {("chi_override", k) for k in ("2", "12", "a", "12\n", "", "-1")})
+               | {("chi_override", k) for k in ("2", "12", "a", "12\n", "", "-1", "007", "13")})
 
 BOUNDS = sorted({sub[k] for sub in subschemas(CONFIG_SCHEMA)
                  for k in ("minimum", "maximum", "exclusiveMinimum") if k in sub})
@@ -131,6 +131,9 @@ def test_example_is_accepted():
     [(("chi_override",), {"a": 1.0}, False)],
     [(("chi_override",), {"12\n": 1.0}, False)],  # "$" matches before a final newline
     [(("chi_override",), {"2": True}, False)],
+    [(("chi_override",), {"007": 1.0}, False)],
+    [(("chi_override",), {"1": 1.0}, False)],
+    [(("chi_override",), {"13": 1.0}, False)],
     [(("seed",), None, True)],
     [(("params", "rho"), None, True)],
     [(("extra",), 1, False)],

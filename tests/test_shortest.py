@@ -53,6 +53,7 @@ def test_hypothesis_floats_match_repr(values):
     assert_values_match_repr(values)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_random_bit_patterns_match_repr():
     assert_bit_patterns_match(1_000_000, seed=20240601)
 

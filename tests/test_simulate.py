@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from levyou import simulate
+from levyou import _kernels, simulate
 from levyou import (
     DriverSpec,
     ModelParams,
@@ -28,14 +28,35 @@ from levyou import (
 KS_LEVEL = 0.001
 
 
-def jump_counts(params, driver, T, seed, size):
-    """Per-draw jump counts of sample_deviation(..., default_rng(seed), size),
-    replayed by its documented draw order."""
+def jump_counts(sampler, params, driver, span, seed, n):
+    """Per-span jump counts of SAMPLERS[sampler](params, driver, span, seed,
+    n), replayed by its documented draw order."""
     rng = np.random.default_rng(seed)
-    sample_stationary_state(driver, params.lam, rng, size=size)
+    if sampler == "path":
+        sample_stationary_state(driver, params.lam, rng)
+        n_normals = 2 * n
+    else:
+        sample_stationary_state(driver, params.lam, rng, size=n)
+        n_normals = n
     if driver.C > 0:
-        rng.standard_normal(size)
-    return rng.poisson(driver.c * T, size)
+        rng.standard_normal(n_normals)
+    return rng.poisson(driver.c * span, n)
+
+
+def sample_deviation_and_next(params, driver, span, seed, n):
+    rng = np.random.default_rng(seed)
+    return sample_deviation(params, driver, span, rng, size=n), rng.random()
+
+
+def sample_path_xy(params, driver, span, seed, n):
+    path = sample_path(params, driver, span * n, n, seed=seed)
+    return path.X, path.Y
+
+
+# The jump-drawing samplers over n spans of one length: n draws at T = span
+# (with the stream's next double, for its final position), or the X and Y of
+# one path of n steps of length span.
+SAMPLERS = {"deviation": sample_deviation_and_next, "path": sample_path_xy}
 
 
 def replay_deviation(params, driver, T, rng, size):
@@ -55,6 +76,25 @@ def replay_deviation(params, driver, T, rng, size):
     terms = ((rho + beta * (-np.expm1(-lam * (T - tau))) / lam) * sizes).tolist()
     ends = np.cumsum(counts)
     return base, np.array([math.fsum(terms[e - k:e]) for k, e in zip(counts, ends)])
+
+
+def replay_path(params, driver, T, n_steps, rng):
+    """X and Y of sample_path replayed in its documented draw order, each kind
+    of variate drawn as one block and the jumps of all steps summed at once."""
+    lam, dt = params.lam, T / n_steps
+    x0 = sample_stationary_state(driver, lam, rng)
+    g1, g2 = rng.standard_normal(n_steps), rng.standard_normal(n_steps)
+    counts = rng.poisson(driver.c * dt, n_steps)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    jt = rng.uniform(0.0, dt, counts.sum())
+    js = rng.exponential(1.0 / driver.alpha, counts.sum())
+    dxj, ij = _kernels.jump_step_sums(jt, js, offsets, lam, dt)
+    eta_d = integrated_decay(lam, dt)
+    return _kernels.path_recursion(x0, math.exp(-lam * dt), eta_d, driver.b0 * eta_d,
+                                   driver.b0 * (dt - eta_d) / lam,
+                                   *simulate._step_gaussian_cholesky(driver.C, lam, dt),
+                                   g1, g2, dxj, ij, lam, params.beta, params.gamma,
+                                   params.rho, dt)
 
 
 def _pcg64_with_buffered_uint32():
@@ -218,30 +258,37 @@ class TestSampleDeviation:
         b = sample_deviation(params, driver, 5.0, np.random.default_rng(77), size=500)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("block", [1, 7, 1 << 16, 1 << 40])
-    def test_jump_block_does_not_change_draws(self, monkeypatch, block):
+    @pytest.mark.parametrize("sampler, block", [
+        pytest.param(sampler, block, id=str(block) if sampler == "deviation" else f"path-{block}")
+        for sampler in SAMPLERS for block in (1, 7, 1 << 16, 1 << 40)])
+    def test_jump_block_does_not_change_draws(self, monkeypatch, sampler, block):
         params = ModelParams(lam=0.5, gamma=0.1, beta=1.0, rho=0.5)
         driver = DriverSpec.mixed(b=0.8, C=1.0, c=0.6, alpha=1.5)
-        counts = jump_counts(params, driver, 5.0, 31, 2000)
+        counts = jump_counts(sampler, params, driver, 5.0, 31, 2000)
         assert (counts == 0).any() and counts.max() > 7
         assert counts.sum() <= simulate.JUMP_BLOCK  # one block by default
-        rng_whole = np.random.default_rng(31)
-        whole = sample_deviation(params, driver, 5.0, rng_whole, size=2000)
+        whole = SAMPLERS[sampler](params, driver, 5.0, 31, 2000)
         monkeypatch.setattr(simulate, "JUMP_BLOCK", block)
-        rng_blocked = np.random.default_rng(31)
-        blocked = sample_deviation(params, driver, 5.0, rng_blocked, size=2000)
-        assert np.array_equal(blocked, whole)
-        assert rng_blocked.random() == rng_whole.random()  # same stream position
+        blocked = SAMPLERS[sampler](params, driver, 5.0, 31, 2000)
+        assert all(np.array_equal(b, w) for b, w in zip(blocked, whole))
 
     @pytest.mark.parametrize("block", [1, 7, 1 << 16])
-    @pytest.mark.parametrize("make_rng", list(STREAMS.values()), ids=list(STREAMS))
-    def test_draws_replay_the_documented_stream(self, monkeypatch, make_rng, block):
+    @pytest.mark.parametrize("sampler, stream",
+                             [pytest.param("deviation", s, id=s) for s in STREAMS]
+                             + [pytest.param("path", "PCG64", id="path-PCG64")])
+    def test_draws_replay_the_documented_stream(self, monkeypatch, sampler, stream, block):
         # c*T*size = 80,000 jumps: more than one block even at the default size
         params = ModelParams(lam=0.5, gamma=0.1, beta=1.0, rho=0.5)
         driver = DriverSpec.mixed(b=0.8, C=1.0, c=20.0, alpha=1.5)
         T, n = 4.0, 1000
         monkeypatch.setattr(simulate, "JUMP_BLOCK", block)
-        rng, replay = make_rng(), make_rng()
+        rng, replay = STREAMS[stream](), STREAMS[stream]()
+        if sampler == "path":
+            # a path draws from default_rng(seed): 1000 steps of length T
+            path = sample_path(params, driver, T * n, n, seed=35)
+            X, Y = replay_path(params, driver, T * n, n, replay)
+            assert np.array_equal(path.X, X) and np.array_equal(path.Y, Y)
+            return
         got = sample_deviation(params, driver, T, rng, size=n)
         base, jumps = replay_deviation(params, driver, T, replay, n)
         assert np.all(np.abs(got - (base + jumps)) <= 1e-13 * (np.abs(base) + np.abs(jumps)))
@@ -250,19 +297,20 @@ class TestSampleDeviation:
 
     def test_jump_memory_is_bounded_by_the_block(self):
         # 4096 draws at c*T = 800 and 3200: 3.3M and 13M jumps, whose
-        # arrival times alone would take 26 and 105 MB as one block
+        # arrival times alone would take 26 and 105 MB as one block; and a
+        # path at c*T = 2e6 on 64 and 1e5 steps, 16 MB of arrival times
         params = ModelParams(lam=0.5, gamma=0.1, beta=1.0, rho=0.5)
-        size = 4096
-        bound = 4 * 8 * simulate.JUMP_BLOCK + 16 * 8 * size
-        for c in (20.0, 80.0):
+        for sampler, c, n in [("deviation", 20.0, 4096), ("deviation", 80.0, 4096),
+                              ("path", 5e4, 64), ("path", 5e4, 100_000)]:
             driver = DriverSpec.mixed(b=0.8, C=1.0, c=c, alpha=1.5)
+            bound = 4 * 8 * simulate.JUMP_BLOCK + 16 * 8 * n
             tracemalloc.start()
             try:
-                sample_deviation(params, driver, 40.0, np.random.default_rng(32), size=size)
+                SAMPLERS[sampler](params, driver, 40.0 / n if sampler == "path" else 40.0, 32, n)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < bound, (c, peak)
+            assert peak < bound, (sampler, c, n, peak)
 
     def test_too_many_expected_jumps_is_refused_before_drawing(self, gamma_ou):
         params, _ = gamma_ou
