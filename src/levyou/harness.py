@@ -47,6 +47,9 @@ __all__ = [
 # (seed, horizon index) and never on scheduling or worker count.
 CHUNK = 4096
 
+# Samples per block of k_statistics' passes: 256 KB of float64 stays in cache.
+_LEAF = 1 << 15
+
 _FOOTNOTES = (
     "Remainder constants of the expansion error bound are not computable; "
     "comparisons use Monte Carlo standard-error bands and ordering tests, "
@@ -76,6 +79,21 @@ def estimate_indicator(samples: np.ndarray, a: float) -> tuple[float, float]:
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n)
 
 
+def _pairwise_sum(f, n: int, start: int = 0):
+    """f(i0, i1) summed over blocks of range(start, start + n) in numpy's order.
+
+    numpy's add.reduce sums a contiguous float64 array pairwise, halving any
+    range of more than 128 values at n//2 rounded down to a multiple of 8.
+    Halving the same way down to blocks of at most _LEAF values, each summed
+    by f with add.reduce, gives the whole array's sum bit for bit.  f may
+    return an array of sums, which are then combined elementwise.
+    """
+    if n <= _LEAF:
+        return f(start, start + n)
+    n2 = n // 2 - (n // 2) % 8
+    return _pairwise_sum(f, n2, start) + _pairwise_sum(f, n - n2, start + n2)
+
+
 def k_statistics(samples: np.ndarray, r_max: int = 4) -> KStatistics:
     """k-statistics (unbiased cumulant estimators) with closed-form SEs.
 
@@ -87,17 +105,30 @@ def k_statistics(samples: np.ndarray, r_max: int = 4) -> KStatistics:
     IF_2 = d^2 - m2, IF_3 = d^3 - m3 - 3*m2*d,
     IF_4 = d^4 - m4 - 4*m3*d - 6*m2*(d^2 - m2).  n*SE^2 tends to the k-statistic
     variances of Kendall & Stuart vol. 1 ch. 12, e.g. 1, 2, 6, 24 for N(0, 1).
+
+    Three passes over blocks of at most _LEAF samples (the mean, then m2..m4,
+    then the squared influences) keep the temporaries block-sized.  The block
+    sums are combined in add.reduce's pairwise order, so every value equals
+    its whole-array formula (`samples.mean()`, `np.mean(d * d)`, ...) bit
+    for bit.
     """
     if not 1 <= r_max <= 4:
         raise ValueError("r_max must be between 1 and 4")
-    samples = np.asarray(samples, dtype=float)
+    samples = np.asarray(samples, dtype=float).ravel()
     n = samples.size
     if n < max(2, r_max):
         raise ValueError(f"need at least {max(2, r_max)} samples, got {n}")
-    mean = float(samples.mean())
-    d = samples - mean
-    d2 = d * d
-    m2, m3, m4 = float(d2.mean()), float((d2 * d).mean()), float((d2 * d2).mean())
+    mean = float(_pairwise_sum(lambda i, j: np.add.reduce(samples[i:j]), n) / n)
+
+    def deviations(i, j):
+        d = samples[i:j] - mean
+        return d, d * d
+
+    def central(i, j):
+        d, d2 = deviations(i, j)
+        return np.array([np.add.reduce(d2), np.add.reduce(d2 * d), np.add.reduce(d2 * d2)])
+
+    m2, m3, m4 = (float(s) for s in _pairwise_sum(central, n) / n)
     values = np.empty(r_max)
     values[0] = mean
     if r_max >= 2:
@@ -106,10 +137,15 @@ def k_statistics(samples: np.ndarray, r_max: int = 4) -> KStatistics:
         values[2] = n * n * m3 / ((n - 1) * (n - 2))
     if r_max >= 4:
         values[3] = n * n * ((n + 1) * m4 - 3 * (n - 1) * m2 * m2) / ((n - 1) * (n - 2) * (n - 3))
-    # IF_1..IF_4, deferred so that each array is built and reduced in turn
-    influences = (lambda: d, lambda: d2 - m2, lambda: d2 * d - m3 - 3.0 * m2 * d,
-                  lambda: d2 * d2 - m4 - 4.0 * m3 * d - 6.0 * m2 * (d2 - m2))
-    se = [math.sqrt(float(np.mean(np.square(f()))) / n) for f in influences[:r_max]]
+    influences = (lambda d, d2: d, lambda d, d2: d2 - m2,
+                  lambda d, d2: d2 * d - m3 - 3.0 * m2 * d,
+                  lambda d, d2: d2 * d2 - m4 - 4.0 * m3 * d - 6.0 * m2 * (d2 - m2))[:r_max]
+
+    def squared(i, j):
+        d, d2 = deviations(i, j)
+        return np.array([np.add.reduce(np.square(f(d, d2))) for f in influences])
+
+    se = [math.sqrt(float(s) / n) for s in _pairwise_sum(squared, n) / n]
     return KStatistics(values=values, se=np.array(se))
 
 
@@ -223,6 +259,8 @@ def run_validation(cfg: ExperimentConfig) -> MCReport:
                 cumulant_rows.append(row)
                 if r <= 3 and abs(row["k_stat"] - pred) > 5.0 * row["se"]:
                     cum_fail.append(f"T={T} r={r}")
+            # the next horizon's draws need not coexist with these
+            del samples
     except KeyboardInterrupt:
         partial = True
     checks = [

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -11,6 +12,7 @@ from scipy import stats
 from levyou import (
     DriverSpec,
     ExperimentConfig,
+    KStatistics,
     ModelParams,
     convergence_study,
     draw_normalized_samples,
@@ -23,6 +25,7 @@ from levyou import (
     stationary_cumulants,
 )
 from levyou.config import REPORT_SCHEMA
+from levyou.harness import _pairwise_sum
 
 from conftest import base_config
 
@@ -45,6 +48,11 @@ class TestEstimateIndicator:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             estimate_indicator(np.array([1.0]), 0.0)
+
+
+# sample sizes around the 2^15-sample blocks of k_statistics and numpy's
+# 8-aligned pairwise splits
+BLOCK_EDGES = [4, 5, 127, 128, 129, 2**15, 2**15 + 1, 2**16 + 8, 100_003, 1_000_000]
 
 
 class TestKStatistics:
@@ -126,6 +134,50 @@ class TestKStatistics:
         ks = k_statistics(samples)
         np.testing.assert_allclose(ks.se, bootstrap_se(samples, np.random.default_rng(9)),
                                    rtol=0.2)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_equals_the_whole_array_formulas(self, n):
+        # rounding in every sum shows up in the last bits unless the block
+        # sums are combined in add.reduce's own order
+        rng = np.random.default_rng(n)
+        x = rng.exponential(1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n) - 2.0
+        for r_max in range(1, 5):
+            got, want = k_statistics(x, r_max), reference_k_statistics(x, r_max)
+            assert np.array_equal(got.values, want.values), (r_max, got.values, want.values)
+            assert np.array_equal(got.se, want.se), (r_max, got.se, want.se)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_pairwise_sum_is_numpys_order(self, n):
+        # pins numpy's split rule: should a numpy release change it, this
+        # fails instead of the report bytes moving silently
+        x = np.random.default_rng(n + 1).standard_normal(n) * 1e6 + 0.1
+        assert _pairwise_sum(lambda i, j: np.add.reduce(x[i:j]), n) == np.add.reduce(x)
+
+    def test_memory_stays_block_sized(self):
+        # the whole-array formulas peak at ~30 MB of temporaries here
+        x = np.random.default_rng(3).standard_normal(1_000_000)
+        tracemalloc.start()
+        try:
+            k_statistics(x, r_max=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
+
+
+def reference_k_statistics(samples, r_max=4):
+    """Reference: k-statistics and SEs from whole-array temporaries (n >= 4)."""
+    n = samples.size
+    mean = float(samples.mean())
+    d = samples - mean
+    d2 = d * d
+    m2, m3, m4 = float(d2.mean()), float((d2 * d).mean()), float((d2 * d2).mean())
+    values = [mean, n * m2 / (n - 1), n * n * m3 / ((n - 1) * (n - 2)),
+              n * n * ((n + 1) * m4 - 3 * (n - 1) * m2 * m2) / ((n - 1) * (n - 2) * (n - 3))]
+    influences = (d, d2 - m2, d2 * d - m3 - 3.0 * m2 * d,
+                  d2 * d2 - m4 - 4.0 * m3 * d - 6.0 * m2 * (d2 - m2))
+    se = [math.sqrt(float(np.mean(np.square(f))) / n) for f in influences[:r_max]]
+    return KStatistics(values=np.array(values[:r_max]), se=np.array(se))
 
 
 def plug_in_cumulants(x, w):
