@@ -209,11 +209,10 @@ def cmd_validate(ecfg: ExperimentConfig, args) -> int:
 
 
 def cmd_theta_hat(ecfg: ExperimentConfig, args) -> int:
-    result = mean_estimator_demo(ecfg.params, ecfg.driver, ecfg.T_grid[0],
-                                 ecfg.n_samples, ecfg.seed,
-                                 workers=ecfg.resolved_workers())
+    result = mean_estimator_demo(ecfg)
     out_path = Path(args.out) / "theta_hat.json"
     out_path.write_text(json.dumps({
+        "config_hash": ecfg.config_hash(),
         "theta_hat": result.theta_hat,
         "theta0": result.theta0,
         "summary": result.summary,

@@ -3,6 +3,8 @@ and ExperimentConfig, the parsed config that every subcommand runs from.
 
 CONFIG_SCHEMA and REPORT_SCHEMA below are the only copies of the config and
 report schemas; docs/example_gamma_ou.json is a worked example.
+ExperimentConfig holds itself to CONFIG_SCHEMA as well, so a config built in
+code meets the rules of a config file.
 validate_config checks a config against CONFIG_SCHEMA with a small
 interpreter of the draft-07 keywords that schema uses, which also requires
 every number to be finite; the tests check it against jsonschema.
@@ -20,7 +22,6 @@ from functools import cached_property
 from pathlib import Path
 
 from .cumulants import (
-    R_MAX,
     CumulantTable,
     CumulantVector,
     ModelParams,
@@ -368,25 +369,16 @@ class ExperimentConfig:
     n_paths: int = 1  # sim.n_paths
 
     def __post_init__(self):
-        if len(self.T_grid) < 1 or any(t <= 0 for t in self.T_grid):
-            raise ValueError("T_grid must contain positive horizons")
-        if any(p < 2 for p in self.p_orders):
-            raise ValueError("expansion orders must be >= 2")
-        if max(self.p_orders) > R_MAX:
-            raise ValueError(f"max expansion order {max(self.p_orders)} exceeds {R_MAX}")
-        if self.n_samples < 100:
-            raise ValueError("n_samples must be >= 100")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
-        if self.density_grid[2] < 1 or self.n_steps < 1 or self.n_paths < 1:
-            raise ValueError("density_grid n, sim.n_steps and sim.n_paths must be >= 1")
-        if any(m < 0 for m in self.moments):
-            raise ValueError("moments must be >= 0")
+        # CONFIG_SCHEMA states the per-field rules; DriverSpec checks the
+        # driver's own fields (the canonical form's c = 0.0 of a Gaussian
+        # driver is not a schema-valid document).
+        validate_config({**self.canonical_dict(), "driver": {"variant": self.driver.variant},
+                         "workers": self.workers})
         orders = [r for r, _ in self.cumulant_override]
         if len(set(orders)) < len(orders) or any(not 2 <= r <= self.table_order for r in orders):
             # an order outside the table would change nothing but config_hash
-            raise ValueError(f"chi_override orders {orders} must be distinct and in 2.."
-                             f"{self.table_order}, the orders of the cumulant table")
+            raise ConfigError(f"chi_override orders {orders} must be distinct and in 2.."
+                              f"{self.table_order}, the orders of the cumulant table")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -461,5 +453,7 @@ class ExperimentConfig:
     def table(self, T: float) -> CumulantTable:
         """Closed-form cumulant table at horizon T, of orders 2 to
         `table_order`, with `cumulant_override` applied."""
-        return cumulant_table(self.table_order, self.params, self.kappa_f, T,
-                              override=dict(self.cumulant_override))
+        values = list(cumulant_table(self.table_order, self.params, self.kappa_f, T).values)
+        for r, v in self.cumulant_override:
+            values[r - 2] = v
+        return CumulantTable(T=float(T), values=tuple(values))

@@ -234,12 +234,8 @@ def kernel_weight_integral(r: int, params: ModelParams, T: float) -> float:
     return T * total
 
 
-def normalized_cumulant(r: int, params: ModelParams, kappa_f: CumulantVector, T: float) -> float:
-    """r-th cumulant of T^{-1/2} (Y_T - E[Y_T]), exact closed form.
-
-    For r = 2 this is the exact finite-horizon variance of the normalized
-    functional.
-    """
+def _check_order(r: int, kappa_f: CumulantVector) -> None:
+    """Refuse an order r that the normalized cumulant of kappa_f cannot take."""
     if not isinstance(r, int) or r < 2:
         raise ValueError(f"r must be an integer >= 2, got {r!r}")
     if r > R_MAX:
@@ -248,6 +244,15 @@ def normalized_cumulant(r: int, params: ModelParams, kappa_f: CumulantVector, T:
         raise ValueError("expected stationary cumulants")
     if r > kappa_f.order:
         raise ValueError(f"cumulant order {r} not available (have 1..{kappa_f.order})")
+
+
+def normalized_cumulant(r: int, params: ModelParams, kappa_f: CumulantVector, T: float) -> float:
+    """r-th cumulant of T^{-1/2} (Y_T - E[Y_T]), exact closed form.
+
+    For r = 2 this is the exact finite-horizon variance of the normalized
+    functional.
+    """
+    _check_order(r, kappa_f)
     if T <= 0:
         raise ValueError("T must be positive")
     lam, beta = params.lam, params.beta
@@ -263,39 +268,17 @@ def normalized_cumulant_limit(r: int, params: ModelParams, kappa_f: CumulantVect
     for r = 2 this equals 2 * (beta + rho*lam)**2 * kappa_F^(2) / lam.
     Identically zero in the degenerate regime beta + rho*lam = 0.
     """
-    if not isinstance(r, int) or r < 2:
-        raise ValueError(f"r must be an integer >= 2, got {r!r}")
-    if r > R_MAX:
-        raise ValueError(f"r={r} exceeds supported maximum {R_MAX}")
-    if kappa_f.kind is not CumulantKind.STATIONARY:
-        raise ValueError("expected stationary cumulants")
-    if r > kappa_f.order:
-        raise ValueError(f"cumulant order {r} not available (have 1..{kappa_f.order})")
+    _check_order(r, kappa_f)
     lam = params.lam
     return lam * r * (params.rho + params.beta / lam) ** r * kappa_f.get(r)
 
 
-def cumulant_table(
-    p: int,
-    params: ModelParams,
-    kappa_f: CumulantVector,
-    T: float,
-    override: dict[int, float] | None = None,
-) -> CumulantTable:
-    """Table of normalized cumulants for orders 2..p at horizon T.
-
-    `override` maps an order r to a replacement value; it exists as a
-    diagnostics hook (e.g. for exercising strict-mode failure paths) and is
-    never applied implicitly.
-    """
+def cumulant_table(p: int, params: ModelParams, kappa_f: CumulantVector,
+                   T: float) -> CumulantTable:
+    """Table of normalized cumulants for orders 2..p at horizon T."""
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"p must be an integer >= 2, got {p!r}")
     vals = [normalized_cumulant(r, params, kappa_f, T) for r in range(2, p + 1)]
-    if override:
-        for r, v in override.items():
-            r = int(r)
-            if 2 <= r <= p:
-                vals[r - 2] = float(v)
     return CumulantTable(T=float(T), values=tuple(vals))
 
 

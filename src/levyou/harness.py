@@ -20,14 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .cumulants import (
-    ModelParams,
-    cumulant_table,
-    normalized_cumulant_limit,
-    stationary_cumulants,
-)
+from .cumulants import ModelParams, normalized_cumulant_limit
 from .edgeworth import ExpansionCoefficients, cdf, expansion_coefficients
-from .simulate import DriverSpec, _check_jump_budget, driver_cumulants, sample_deviation
+from .simulate import DriverSpec, _check_jump_budget, sample_deviation
 
 __all__ = [
     "CHUNK",
@@ -297,29 +292,30 @@ def _ks_distance(sorted_samples: np.ndarray, ec: ExpansionCoefficients) -> float
     return float(max(np.max(np.abs(upper - fx)), np.max(np.abs(fx - lower))))
 
 
-def mean_estimator_demo(params: ModelParams, driver: DriverSpec, T: float,
-                        n_samples: int, seed: int, workers: int = 1) -> MeanEstimatorResult:
-    """Monte Carlo study of the time-average estimator theta_hat = Y_T / T.
+def mean_estimator_demo(cfg: ExperimentConfig) -> MeanEstimatorResult:
+    """Monte Carlo study of the time-average estimator theta_hat = Y_T / T
+    at the first horizon of cfg.T_grid, from cfg.n_samples draws.
 
     Requires beta = 1, gamma = 0, rho = 0, in which case sqrt(T) times the
     estimation error equals the normalized deviation exactly.  Reports the
     bias, the variance of the scaled error against the closed-form variance,
     and Kolmogorov-Smirnov distances of the scaled error to the normal and
-    the order-3 expansion.
+    the order-3 expansion.  The predictions come from `cfg.table`, so
+    `chi_override` applies as in every other output.
     """
+    params, T, n_samples = cfg.params, cfg.T_grid[0], cfg.n_samples
     if not (params.beta == 1.0 and params.gamma == 0.0 and params.rho == 0.0):
         raise ValueError("mean-estimator demo requires beta=1, gamma=0, rho=0")
-    kappa_f = stationary_cumulants(driver_cumulants(driver, 4), params.lam)
-    theta0 = kappa_f.get(1)
-    scaled = draw_normalized_samples(params, driver, T, n_samples, seed,
-                                     workers=workers, stream_tag=0)
+    theta0 = cfg.kappa_f.get(1)
+    scaled = draw_normalized_samples(params, cfg.driver, T, n_samples, cfg.seed,
+                                     workers=cfg.resolved_workers(), stream_tag=0)
     theta_hats = theta0 + scaled / math.sqrt(T)
     bias = float(theta_hats.mean() - theta0)
     bias_se = float(theta_hats.std(ddof=1) / math.sqrt(n_samples))
     ks = k_statistics(scaled, r_max=2)
     var_scaled = float(ks.values[1])
     var_se = float(ks.se[1])
-    table = cumulant_table(3, params, kappa_f, T)
+    table = cfg.table(T)
     sigma_t = table.get(2)
     ec3 = expansion_coefficients(3, table)
     ec2 = expansion_coefficients(2, table)

@@ -269,8 +269,8 @@ def test_10_determinism_across_workers(tmp_path):
 def test_11_mean_estimator_demo():
     params = ModelParams(lam=1.0, gamma=0.0, beta=1.0, rho=0.0)
     driver = DriverSpec.cpexp(b=1.0, c=1.0, alpha=1.0)
-    res = mean_estimator_demo(params, driver, T=50.0, n_samples=100_000, seed=1111,
-                              workers=0)
+    res = mean_estimator_demo(ExperimentConfig(params=params, driver=driver, T_grid=(50.0,),
+                                               n_samples=100_000, seed=1111, workers=0))
     s = res.summary
     assert abs(s["bias"]) <= 4.0 * s["bias_se"]
     assert abs(s["var_scaled_error"] - s["var_predicted"]) <= 4.0 * s["var_se_boot"]

@@ -383,6 +383,14 @@ class TestThetaHatCommand:
         data = json.loads((tmp_path / "theta_hat.json").read_text())
         assert data["theta0"] == 1.0
         assert math.isfinite(data["summary"]["ks_order3"])
+        assert data["config_hash"] == ExperimentConfig.from_dict(cfg).config_hash()
+
+    def test_chi_override_reaches_the_predictions(self, write_config, tmp_path):
+        cfg = base_config(params={"lam": 1.0, "gamma": 0.0, "beta": 1.0, "rho": 0.0},
+                          T_grid=[10.0], n_samples=2000, chi_override={"2": 5.0})
+        assert run_cli("theta-hat", write_config(cfg), tmp_path) == 0
+        data = json.loads((tmp_path / "theta_hat.json").read_text())
+        assert data["summary"]["var_predicted"] == 5.0
 
     def test_wrong_shape_is_config_error(self, write_config, tmp_path):
         assert run_cli("theta-hat", write_config(base_config()), tmp_path) == 2

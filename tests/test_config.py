@@ -3,10 +3,13 @@
 On finite configs both accept exactly the same documents, and where a config
 breaks the schema once, both name the same place.  Non-finite numbers, which
 Python's json reads and draft-07 counts as numbers, are rejected as well.
+ExperimentConfig built directly is held to the same schema.
 """
 
 import copy
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import jsonschema
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levyou import ExperimentConfig
 from levyou.config import _KEYWORDS, CONFIG_SCHEMA, ConfigError, validate_config
 
 EXAMPLE = json.loads(
@@ -185,3 +189,27 @@ def test_every_schema_keyword_is_implemented():
     used = {k for sub in subschemas(CONFIG_SCHEMA) for k in sub}
     assert used <= set(_KEYWORDS), used - set(_KEYWORDS)
     assert set(_KEYWORDS) <= set(jsonschema.Draft7Validator.VALIDATORS) | {"$schema", "title"}
+
+
+# Each schema path, and ExperimentConfig fields that break it there.
+BAD_FIELDS = {
+    "T_grid": {"T_grid": ()},
+    "T_grid.1": {"T_grid": (5.0, -1.0)},
+    "p_orders.0": {"p_orders": (1, 2)},
+    "p_orders.1": {"p_orders": (2, 13)},
+    "n_samples": {"n_samples": 99},
+    "workers": {"workers": -1},
+    "density_grid.n": {"density_grid": (-6.0, 6.0, 0)},
+    "sim.n_steps": {"n_steps": 0},
+    "sim.n_paths": {"n_paths": 0},
+    "moments.1": {"moments": (1, -1)},
+}
+
+
+@pytest.mark.parametrize("path", BAD_FIELDS)
+def test_experiment_config_is_held_to_the_schema(path):
+    # built directly, not from a document that validate_config has seen
+    example = ExperimentConfig.from_dict(EXAMPLE)
+    with pytest.raises(ConfigError, match=rf"^config schema violation at {re.escape(path)}: "):
+        dataclasses.replace(example, **BAD_FIELDS[path])
+

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from levyou import (
     CumulantKind,
     CumulantVector,
+    ExperimentConfig,
     ModelParams,
     cumulant_table,
     decay_power_mean,
@@ -269,8 +270,11 @@ class TestDegenerateRegime:
 
 class TestCumulantTable:
     def test_override_hook(self, gamma_ou, gamma_ou_kappa_f):
-        params, _ = gamma_ou
-        table = cumulant_table(4, params, gamma_ou_kappa_f, 5.0, override={3: 9.5})
+        # chi_override reaches a table through ExperimentConfig.table only
+        params, driver = gamma_ou
+        cfg = ExperimentConfig(params=params, driver=driver, T_grid=(5.0,),
+                               cumulant_override=((3, 9.5),))
+        table = cfg.table(5.0)
         assert table.get(3) == 9.5
         assert table.get(2) == normalized_cumulant(2, params, gamma_ou_kappa_f, 5.0)
 

@@ -339,12 +339,14 @@ class TestMeanEstimatorDemo:
     def test_parameter_enforcement(self, gamma_ou):
         params, driver = gamma_ou  # rho = 0.5 violates the required shape
         with pytest.raises(ValueError):
-            mean_estimator_demo(params, driver, 10.0, 1000, seed=0)
+            mean_estimator_demo(ExperimentConfig(params=params, driver=driver, T_grid=(10.0,),
+                                                 n_samples=1000, seed=0))
 
     def test_bias_and_variance(self):
         params = ModelParams(lam=1.0, gamma=0.0, beta=1.0, rho=0.0)
         driver = DriverSpec.cpexp(b=1.0, c=1.0, alpha=1.0)
-        res = mean_estimator_demo(params, driver, 20.0, 20_000, seed=13)
+        res = mean_estimator_demo(ExperimentConfig(params=params, driver=driver, T_grid=(20.0,),
+                                                   n_samples=20_000, seed=13, workers=1))
         s = res.summary
         assert abs(s["bias"]) <= 4.0 * s["bias_se"]
         assert abs(s["var_scaled_error"] - s["var_predicted"]) <= 4.0 * s["var_se_boot"]
@@ -353,7 +355,8 @@ class TestMeanEstimatorDemo:
     def test_expansion_beats_normal_in_ks(self):
         params = ModelParams(lam=1.0, gamma=0.0, beta=1.0, rho=0.0)
         driver = DriverSpec.cpexp(b=1.0, c=1.0, alpha=1.0)
-        res = mean_estimator_demo(params, driver, 10.0, 20_000, seed=14)
+        res = mean_estimator_demo(ExperimentConfig(params=params, driver=driver, T_grid=(10.0,),
+                                                   n_samples=20_000, seed=14, workers=1))
         assert res.summary["ks_order3"] <= res.summary["ks_normal"]
 
 
