@@ -4,8 +4,9 @@ Each kernel has exactly one implementation.  A segment sum over jumps is
 one `np.add.reduceat` over the segment's own jumps (empty segments are
 zero), so each segment's sum depends only on its own jumps: it carries no
 rounding from the segments before it, and it is the same bits whichever
-block of segments it is computed in.  The jump weights are built in place in
-one array, so a call allocates one jump-sized temporary.
+block of segments it is computed in.  `segment_weighted_sums` builds the
+jump weights in its `tau` argument's own memory, overwriting the arrival
+times, so a call allocates no jump-sized array.
 
 The per-step X update of the path sampler is affine with one constant
 factor, x' = q*x + c_k, so X is a doubling scan: ceil(log2 n) whole-array
@@ -39,11 +40,13 @@ def _segment_sums(values, offsets):
 
 # --- jump-part weighted segment sums -------------------------------------
 # out[i] = sum_j (rho + beta*(1-exp(-lam*(T-tau[j])))/lam) * sizes[j]
-# over the slice offsets[i]:offsets[i+1].
+# over the slice offsets[i]:offsets[i+1].  tau is overwritten by the weights.
 
 def segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T):
-    # the formula above, operation by operation, in one buffer
-    w = np.subtract(T, tau)
+    """Per-segment sums of the weighted jump sizes; overwrites tau with the
+    jump weights times the sizes."""
+    # the formula above, operation by operation, in tau's memory
+    w = np.subtract(T, tau, out=tau)
     w *= -lam
     np.expm1(w, out=w)
     w *= -beta

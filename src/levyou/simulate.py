@@ -170,6 +170,10 @@ def _jump_runs(rng: np.random.Generator, driver: DriverSpec, span: float, n: int
     Yields (i0, i1, times, sizes, offsets) for the most whole spans i0..i1-1
     within JUMP_BLOCK jumps, at least one: span i0 + k has the arrival times
     times[offsets[k]:offsets[k+1]] in (0, span), and their Exp(alpha) sizes.
+    The yielded times and sizes are valid only until the next run: every run
+    of a call draws into the same two buffers, of min(m, JUMP_BLOCK) doubles
+    for m jumps in all (larger only for a single span with more jumps), and
+    the caller may overwrite them.
 
     Draw order: one Poisson(c*span) block of n counts, then the m arrival
     times of all spans followed by their m sizes, as if each were one block.
@@ -183,19 +187,32 @@ def _jump_runs(rng: np.random.Generator, driver: DriverSpec, span: float, n: int
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     m = int(offsets[-1])
-    # PCG64(DXSM).advance(k) skips exactly k doubles; Philox advances in
-    # blocks of four outputs, and MT19937 and SFC64 cannot advance
-    if m > JUMP_BLOCK and type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM):
-        times, times_rng = None, _split_stream(rng, m)
-    else:
-        times = rng.uniform(0.0, span, m)
+    times, times_rng = None, rng  # m <= JUMP_BLOCK is one run, drawn in order
+    if m > JUMP_BLOCK:
+        # PCG64(DXSM).advance(k) skips exactly k doubles; Philox advances in
+        # blocks of four outputs, and MT19937 and SFC64 cannot advance
+        if type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM):
+            times_rng = _split_stream(rng, m)
+        else:
+            times = rng.uniform(0.0, span, m)
+    buf = np.empty((2, min(m, JUMP_BLOCK)))
     i0 = 0
     while i0 < n:
         lo = int(offsets[i0])
         i1 = max(i0 + 1, int(np.searchsorted(offsets, lo + JUMP_BLOCK, side="right")) - 1)
-        hi = int(offsets[i1])
-        run_times = times_rng.uniform(0.0, span, hi - lo) if times is None else times[lo:hi]
-        sizes = rng.exponential(1.0 / driver.alpha, hi - lo)
+        k = int(offsets[i1]) - lo
+        if k > buf.shape[1]:
+            buf = np.empty((2, k))
+        run_times, sizes = buf[0, :k], buf[1, :k]
+        # random()*span and standard_exponential()*(1/alpha) are the bits of
+        # uniform(0, span) and exponential(1/alpha)
+        if times is None:
+            times_rng.random(out=run_times)
+            run_times *= span
+        else:
+            run_times = times[lo:lo + k]
+        rng.standard_exponential(out=sizes)
+        sizes *= 1.0 / driver.alpha
         yield i0, i1, run_times, sizes, offsets[i0:i1 + 1] - lo
         i0 = i1
 
@@ -238,7 +255,6 @@ def sample_deviation(params: ModelParams, driver: DriverSpec, T: float,
     if driver.has_jumps:
         for i0, i1, tau, sizes, offsets in _jump_runs(rng, driver, T, n):
             out[i0:i1] += _kernels.segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T)
-            del tau, sizes  # else these names hold the run while the next is drawn
     return float(out[0]) if size is None else out
 
 

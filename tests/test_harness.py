@@ -258,6 +258,16 @@ class TestDrawNormalizedSamples:
         b = draw_normalized_samples(params, driver, 5.0, 20_000, seed=5, workers=4)
         assert np.array_equal(a, b)
 
+    def test_worker_count_does_not_change_samples_of_many_runs(self):
+        # c*T = 800: each 4096-draw chunk holds ~3.3M jumps, some 50 runs of
+        # the jump buffers, while other threads draw other chunks
+        params = ModelParams(lam=0.5, gamma=0.1, beta=1.0, rho=0.5)
+        driver = DriverSpec.mixed(b=0.8, C=1.0, c=20.0, alpha=1.5)
+        a = draw_normalized_samples(params, driver, 40.0, 10_000, seed=6, workers=1)
+        for workers in (2, 4):
+            b = draw_normalized_samples(params, driver, 40.0, 10_000, seed=6, workers=workers)
+            assert np.array_equal(a, b), workers
+
     def test_stream_tag_separates_horizons(self, gamma_ou):
         params, driver = gamma_ou
         a = draw_normalized_samples(params, driver, 5.0, 1000, seed=5, stream_tag=0)

@@ -82,8 +82,8 @@ def jump_workload(rng):
 
 def test_segment_weighted_sums_match_reference(jump_workload):
     tau, sizes, offsets = jump_workload
-    got = _kernels.segment_weighted_sums(tau, sizes, offsets, 1.0, 1.0, 0.5, 10.0)
     ref = segment_weighted_sums_ref(tau, sizes, offsets, 1.0, 1.0, 0.5, 10.0)
+    got = _kernels.segment_weighted_sums(tau, sizes, offsets, 1.0, 1.0, 0.5, 10.0)
     np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-12)
     assert np.all(got[::7] == 0.0)  # empty segments stay exactly zero
 
@@ -95,10 +95,17 @@ def test_segment_weighted_sums_exact_per_segment_at_high_intensity(rng):
     offsets = _offsets(rng.poisson(800.0, 4096))
     tau = rng.uniform(0.0, T, offsets[-1])
     sizes = rng.exponential(1.0 / 1.5, offsets[-1])
-    got = _kernels.segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T)
     terms = ((rho + beta * (-np.expm1(-lam * (T - tau))) / lam) * sizes).tolist()
     exact = np.array([math.fsum(terms[lo:hi]) for lo, hi in zip(offsets[:-1], offsets[1:])])
+    got = _kernels.segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T)
     assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-13
+
+
+def test_segment_weighted_sums_builds_the_weights_in_tau(jump_workload):
+    tau, sizes, offsets = jump_workload
+    weighted = (0.5 + 1.0 * (-np.expm1(-1.0 * (10.0 - tau))) / 1.0) * sizes
+    _kernels.segment_weighted_sums(tau, sizes, offsets, 1.0, 1.0, 0.5, 10.0)
+    np.testing.assert_allclose(tau, weighted, rtol=1e-15, atol=0.0)
 
 
 def test_segment_weighted_sums_no_jumps():

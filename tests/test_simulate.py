@@ -1,5 +1,6 @@
 """Exact-sampler validation: moment matches, KS tests, grid exactness."""
 
+import hashlib
 import io
 import math
 import tracemalloc
@@ -111,6 +112,68 @@ STREAMS = {
     "PCG64DXSM": lambda: np.random.Generator(np.random.PCG64DXSM(35)),
     "SFC64": lambda: np.random.Generator(np.random.SFC64(35)),
     "Philox": lambda: np.random.Generator(np.random.Philox(35)),
+}
+
+
+# The jumps benchmark model (c*T = 800 at T = 40) and the acceptance-06 model.
+JUMPS_MODEL = (ModelParams(lam=0.5, gamma=0.1, beta=1.0, rho=0.5),
+               DriverSpec.mixed(b=0.8, C=1.0, c=20.0, alpha=1.5))
+ACC06_MODEL = (ModelParams(lam=1.0, gamma=0.0, beta=1.0, rho=0.5),
+               DriverSpec.cpexp(b=1.0, c=1.0, alpha=1.0))
+
+
+def float_canary():
+    """A digest of the elementwise exp/expm1 and the distributions the
+    samplers draw from.  numpy's exp and expm1 take different code paths on
+    different CPUs (AVX-512 or not) and versions, which move last bits of
+    the draws; equal canaries mean the same arithmetic."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-40.0, 0.0, 1 << 16)
+    parts = (np.expm1(x), np.exp(x), rng.poisson(800.0, 4096), rng.poisson(0.8, 4096),
+             rng.gamma(40.0, 1.0 / 1.5, 4096), rng.gamma(1.0, 1.0, 4096),
+             rng.standard_normal(4096), rng.exponential(1.0 / 1.5, 4096))
+    return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()[:16]
+
+
+def deviation_digest(model, T, n):
+    """sha256 of n draws at seed 20261019 and the stream's next double."""
+    rng = np.random.default_rng(20261019)
+    draws = sample_deviation(*model, T, rng, size=n)
+    return hashlib.sha256(draws.tobytes() + np.float64(rng.random()).tobytes()).hexdigest()
+
+
+def path_digest(model, T, n_steps):
+    path = sample_path(*model, T, n_steps, seed=20261019)
+    return hashlib.sha256(path.X.tobytes() + path.Y.tobytes()).hexdigest()
+
+
+# Each case's digest, recorded with numpy 2.4 on x86-64 before the jump runs
+# drew into reused buffers, for each float canary it was recorded under: with
+# and without numpy's AVX-512 exp/expm1 (NPY_DISABLE_CPU_FEATURES="X86_V4
+# AVX512_ICL AVX512_SPR").
+DIGEST_CASES = {
+    # ~50 runs of a split PCG64 stream
+    "jumps-T40": lambda: deviation_digest(JUMPS_MODEL, 40.0, 4096),
+    # ~82k jumps: two runs of a split stream
+    "acc06-T20": lambda: deviation_digest(ACC06_MODEL, 20.0, 4096),
+    # ~20k jumps: one run, arrival times straight from the stream
+    "acc06-T20-one-run": lambda: deviation_digest(ACC06_MODEL, 20.0, 1000),
+    # 1000 steps holding ~80k jumps: two runs of a split stream
+    "path-T4000": lambda: path_digest(JUMPS_MODEL, 4000.0, 1000),
+}
+RECORDED_DIGESTS = {
+    "b5c9e09238084d3a": {
+        "jumps-T40": "aa53c84fe2e4fef991dc43d8921c2beb6137d899869d6567567d09acae411f75",
+        "acc06-T20": "de174ad3f0d247d1e5aa1b8b99dbb32a5e2f601594666b9ad5dac7fcf8c2881e",
+        "acc06-T20-one-run": "e3bbf21d502689bb4fda19b3fa57e0fde227568be71dcb780d48d0401abb5414",
+        "path-T4000": "2743087ac53f19690c98adad1195f306bb82a81fb9ef8cdd299d5b2afa80ce95",
+    },
+    "4445dd6db5019aad": {
+        "jumps-T40": "685574548c77c5023377599d1ed0fa5b849078d9c52e54604e6a2f689200caea",
+        "acc06-T20": "d0139fa7f8d30f6f4eaa676bce7d72d827a0997364e257cc5a3b2274dfde0f06",
+        "acc06-T20-one-run": "a895ba32eb953b965d68e0181eec661d828b7df49f1ee544188d4401265b9d8e",
+        "path-T4000": "c0169f4983b4c47c1d27031c31bb2f82ad2591558a0c292869d3b694a06db98c",
+    },
 }
 
 
@@ -294,6 +357,29 @@ class TestSampleDeviation:
         assert np.all(np.abs(got - (base + jumps)) <= 1e-13 * (np.abs(base) + np.abs(jumps)))
         assert rng.random() == replay.random()  # same stream position
         assert rng.bit_generator.state["has_uint32"] == replay.bit_generator.state["has_uint32"]
+
+    @pytest.mark.parametrize("case", DIGEST_CASES)
+    def test_draws_are_the_recorded_bytes(self, case):
+        canary = float_canary()
+        if canary not in RECORDED_DIGESTS:
+            pytest.skip(f"no digests recorded under float canary {canary}")
+        assert DIGEST_CASES[case]() == RECORDED_DIGESTS[canary][case]
+
+    def test_jump_runs_hold_two_block_buffers(self):
+        # 4096 draws at c*T = 800, ~50 runs: the runs share one arrival-time
+        # and one size buffer of JUMP_BLOCK doubles, and the weights are built
+        # in the arrival times' buffer, so no third jump-sized array is held
+        params, driver = JUMPS_MODEL
+        n = 4096
+        sample_deviation(params, driver, 40.0, np.random.default_rng(31), size=n)  # lazy imports
+        bound = 2 * 8 * simulate.JUMP_BLOCK + 16 * 8 * n
+        tracemalloc.start()
+        try:
+            sample_deviation(params, driver, 40.0, np.random.default_rng(32), size=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak
 
     def test_jump_memory_is_bounded_by_the_block(self):
         # 4096 draws at c*T = 800 and 3200: 3.3M and 13M jumps, whose
