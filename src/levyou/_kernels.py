@@ -40,11 +40,10 @@ def _segment_sums(values, offsets):
 
 # --- jump-part weighted segment sums -------------------------------------
 # out[i] = sum_j (rho + beta*(1-exp(-lam*(T-tau[j])))/lam) * sizes[j]
-# over the slice offsets[i]:offsets[i+1].  tau is overwritten by the weights.
+# over the slice offsets[i]:offsets[i+1].
 
 def segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T):
-    """Per-segment sums of the weighted jump sizes; overwrites tau with the
-    jump weights times the sizes."""
+    """The sums above.  tau is overwritten by the weights (times the sizes)."""
     # the formula above, operation by operation, in tau's memory
     w = np.subtract(T, tau, out=tau)
     w *= -lam

@@ -147,9 +147,9 @@ def path_digest(model, T, n_steps):
     return hashlib.sha256(path.X.tobytes() + path.Y.tobytes()).hexdigest()
 
 
-# Each case's digest, recorded with numpy 2.4 on x86-64 before the jump runs
-# drew into reused buffers, for each float canary it was recorded under: with
-# and without numpy's AVX-512 exp/expm1 (NPY_DISABLE_CPU_FEATURES="X86_V4
+# Each case's digest as the sampler gave it when every run drew fresh arrays,
+# recorded with numpy 2.4 on x86-64 under two float canaries: with and
+# without numpy's AVX-512 exp/expm1 (NPY_DISABLE_CPU_FEATURES="X86_V4
 # AVX512_ICL AVX512_SPR").
 DIGEST_CASES = {
     # ~50 runs of a split PCG64 stream
@@ -371,7 +371,8 @@ class TestSampleDeviation:
         # in the arrival times' buffer, so no third jump-sized array is held
         params, driver = JUMPS_MODEL
         n = 4096
-        sample_deviation(params, driver, 40.0, np.random.default_rng(31), size=n)  # lazy imports
+        # a process's first call also counts ~0.8 MB of numpy's lazy imports
+        sample_deviation(params, driver, 40.0, np.random.default_rng(31), size=n)
         bound = 2 * 8 * simulate.JUMP_BLOCK + 16 * 8 * n
         tracemalloc.start()
         try:
