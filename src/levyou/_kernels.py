@@ -6,7 +6,8 @@ zero), so each segment's sum depends only on its own jumps: it carries no
 rounding from the segments before it, and it is the same bits whichever
 block of segments it is computed in.  `segment_weighted_sums` builds the
 jump weights in its `tau` argument's own memory, overwriting the arrival
-times, so a call allocates no jump-sized array.
+times, so a call allocates no jump-sized array; `jump_step_sums` likewise
+overwrites its `jt` and allocates one jump-sized product buffer.
 
 The per-step X update of the path sampler is affine with one constant
 factor, x' = q*x + c_k, so X is a doubling scan: ceil(log2 n) whole-array
@@ -15,6 +16,13 @@ increments computed from X elementwise.  The scan evaluates the same exact
 per-step law as the loop; it only groups the sum q^k*x0 + sum_j q^(k-j)*c_j
 differently, so X and Y differ from a loop's in the last digits (and are
 no less accurate), while the random stream and the path law are unchanged.
+`path_recursion` builds its step temporaries in its outputs' memory and in
+that of its `g1` and `g2` arguments, which it overwrites, so besides X and Y
+a call allocates no step-sized array.
+
+Every in-place kernel performs the operations of its formula in the
+formula's order, with only the operands of a product or sum commuted, so
+its results are the bits of the formula written with fresh temporaries.
 Reference loops that spell out each kernel term by term live in
 tests/test_kernels.py.
 """
@@ -61,8 +69,18 @@ def segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T):
 # with k(u) the integrated decay.
 
 def jump_step_sums(jt, js, offsets, lam, dt):
-    e = np.exp(-lam * (dt - jt))
-    return _segment_sums(e * js, offsets), _segment_sums((1.0 - e) / lam * js, offsets)
+    """The sums above.  jt is overwritten by exp(-lam*(dt-jt))."""
+    # the formulas above, operation by operation: e in jt's memory, and one
+    # buffer for the product e*js and then for (1-e)/lam*js
+    e = np.subtract(dt, jt, out=jt)
+    e *= -lam
+    np.exp(e, out=e)
+    prod = np.multiply(e, js)
+    dxj = _segment_sums(prod, offsets)
+    np.subtract(1.0, e, out=prod)
+    prod /= lam
+    prod *= js
+    return dxj, _segment_sums(prod, offsets)
 
 
 # --- exact per-step recursion for (X, Y) ----------------------------------
@@ -72,12 +90,14 @@ def jump_step_sums(jt, js, offsets, lam, dt):
 # X is a doubling scan (Hillis-Steele): with X[1:] holding c_k (and q*x0
 # folded into the first), the pass at stride s adds q^s times the value s
 # steps back, so after the passes s = 1, 2, 4, ... < n every X[k] is
-# q^k*x0 + sum_j q^(k-j)*c_j.  Each pass's right-hand side is a fresh array,
-# so it reads the values from before the pass.  q^s is one pow call: squaring
+# q^k*x0 + sum_j q^(k-j)*c_j.  Each pass's right-hand side is built in a
+# buffer of its own before it is added, so it reads the values from before
+# the pass.  q^s is one pow call: squaring
 # q^s pass by pass compounds a relative error that grows like s*eps.
 
 def path_recursion(x0, q, eta_d, drift_x, drift_i, a11, a21, a22,
                    g1, g2, dxj, ij, lam, beta, gamma, rho, dt):
+    """X and Y by the recursion above.  g1 and g2 are overwritten."""
     n = g1.size
     X = np.empty(n + 1)
     X[0] = x0
@@ -86,16 +106,30 @@ def path_recursion(x0, q, eta_d, drift_x, drift_i, a11, a21, a22,
     c += drift_x
     c += dxj
     c[0] += q * x0
-    s = 1
-    while s < n:
-        c[s:] += q ** s * c[:-s]
-        s *= 2
-    x = X[:-1]
-    i_step = eta_d * x + drift_i + a21 * g1 + a22 * g2 + ij
-    dz = (X[1:] - x) + lam * i_step
+    # Y[1:] holds each pass's right-hand side, then i_step until Y's
+    # increments, built in g2, are summed into it; dz is built in g1
     Y = np.empty(n + 1)
     Y[0] = 0.0
-    np.cumsum(gamma * dt + beta * i_step + rho * dz, out=Y[1:])
+    scratch = Y[1:]
+    s = 1
+    while s < n:
+        c[s:] += np.multiply(q ** s, c[:-s], out=scratch[:-s])
+        s *= 2
+    x = X[:-1]
+    i_step = np.multiply(eta_d, x, out=scratch)
+    i_step += drift_i
+    g1 *= a21
+    i_step += g1
+    g2 *= a22
+    i_step += g2
+    i_step += ij
+    dz = np.subtract(X[1:], x, out=g1)
+    dz += np.multiply(lam, i_step, out=g2)
+    dy = np.multiply(beta, i_step, out=g2)
+    dy += gamma * dt
+    dz *= rho
+    dy += dz
+    np.cumsum(dy, out=Y[1:])
     return X, Y
 
 

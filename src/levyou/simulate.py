@@ -173,7 +173,9 @@ def _jump_runs(rng: np.random.Generator, driver: DriverSpec, span: float, n: int
     The yielded times and sizes are valid only until the next run: every run
     of a call draws into the same two buffers, of min(m, JUMP_BLOCK) doubles
     for m jumps in all (larger only for a single span with more jumps), and
-    the caller may overwrite them.
+    the caller may overwrite them.  The offsets of a run starting at the
+    first jump are a view of the call's own offsets, which the caller must
+    not write.
 
     Draw order: one Poisson(c*span) block of n counts, then the m arrival
     times of all spans followed by their m sizes, as if each were one block.
@@ -183,9 +185,8 @@ def _jump_runs(rng: np.random.Generator, driver: DriverSpec, span: float, n: int
     other bit generators draw the arrival times as one block.  Either way, at
     any JUMP_BLOCK, the draws and the final stream position are the same.
     """
-    counts = rng.poisson(driver.c * span, n)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    np.cumsum(rng.poisson(driver.c * span, n), out=offsets[1:])
     m = int(offsets[-1])
     times, times_rng = None, rng  # m <= JUMP_BLOCK is one run, drawn in order
     if m > JUMP_BLOCK:
@@ -213,7 +214,8 @@ def _jump_runs(rng: np.random.Generator, driver: DriverSpec, span: float, n: int
             run_times = times[lo:lo + k]
         rng.standard_exponential(out=sizes)
         sizes *= 1.0 / driver.alpha
-        yield i0, i1, run_times, sizes, offsets[i0:i1 + 1] - lo
+        run_offsets = offsets[i0:i1 + 1]
+        yield i0, i1, run_times, sizes, run_offsets - lo if lo else run_offsets
         i0 = i1
 
 
@@ -304,12 +306,14 @@ def sample_path(params: ModelParams, driver: DriverSpec, T: float, n_steps: int,
     x_start = sample_stationary_state(driver, lam, rng) if x0 is None else float(x0)
     n = n_steps
     g1, g2 = rng.standard_normal((2, n)) if driver.C > 0 else np.zeros((2, n))
-    dxj, ij = np.zeros(n), np.zeros(n)
     if driver.has_jumps:
         sums = [_kernels.jump_step_sums(jt, js, offsets, lam, dt)
                 for _, _, jt, js, offsets in _jump_runs(rng, driver, dt, n)]
         # the usual single run is kept as it is: copying it costs ~15% of a path
         dxj, ij = sums[0] if len(sums) == 1 else map(np.concatenate, zip(*sums))
+        del sums
+    else:
+        dxj = ij = np.zeros(n)
     q = math.exp(-lam * dt)
     eta_d = integrated_decay(lam, dt)
     b0 = driver.b0
@@ -319,6 +323,7 @@ def sample_path(params: ModelParams, driver: DriverSpec, T: float, n_steps: int,
     X, Y = _kernels.path_recursion(x_start, q, eta_d, drift_x, drift_i,
                                    a11, a21, a22, g1, g2, dxj, ij,
                                    lam, beta, gamma, rho, dt)
+    del g1, g2, dxj, ij  # the step arrays need not outlive the path's
     times = np.linspace(0.0, T, n + 1)
     deviation = float(Y[-1]) - expected_terminal(params, driver, T)
     return PathSample(times=times, X=X, Y=Y, deviation=deviation, seed=int(seed))

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, file formats, determinism, schema round-trips."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -28,8 +29,16 @@ from levyou.cli import main
 from levyou.config import CONFIG_SCHEMA, REPORT_SCHEMA
 
 from conftest import base_config
+from test_simulate import float_canary
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_gamma_ou.json"
+
+# theta_hat.json of TestThetaHatCommand's benchmark op, as written when the
+# KS pass took whole-sample temporaries, recorded with numpy 2.4 on x86-64
+# under test_simulate's two float canaries (with and without AVX-512
+# exp/expm1), which give the same bytes here.
+_THETA_HAT_DIGEST = "5327546d081c91397ce7d1acdd646e58d7bd2f0b21c4881f574cfdfed2e669d3"
+THETA_HAT_DIGESTS = {"b5c9e09238084d3a": _THETA_HAT_DIGEST, "4445dd6db5019aad": _THETA_HAT_DIGEST}
 
 
 def run_cli(subcommand, config_path, out_dir, *extra):
@@ -394,6 +403,17 @@ class TestThetaHatCommand:
 
     def test_wrong_shape_is_config_error(self, write_config, tmp_path):
         assert run_cli("theta-hat", write_config(base_config()), tmp_path) == 2
+
+    def test_benchmark_op_writes_the_recorded_bytes(self, tmp_path):
+        # the benchmark's explore theta-hat op at the example's own seed
+        canary = float_canary()
+        if canary not in THETA_HAT_DIGESTS:
+            pytest.skip(f"no digest recorded under float canary {canary}")
+        assert run_cli("theta-hat", EXAMPLE, tmp_path, "--set", "params.rho=0",
+                       "--set", "T_grid=[50]", "--set", "n_samples=100000",
+                       "--workers", "2") == 0
+        got = hashlib.sha256((tmp_path / "theta_hat.json").read_bytes()).hexdigest()
+        assert got == THETA_HAT_DIGESTS[canary]
 
 
 class TestConvergeCommand:

@@ -14,10 +14,12 @@ from levyou import (
     ExperimentConfig,
     KStatistics,
     ModelParams,
+    cdf,
     convergence_study,
     draw_normalized_samples,
     driver_cumulants,
     estimate_indicator,
+    expansion_coefficients,
     k_statistics,
     mean_estimator_demo,
     normalized_cumulant,
@@ -25,7 +27,7 @@ from levyou import (
     stationary_cumulants,
 )
 from levyou.config import REPORT_SCHEMA
-from levyou.harness import _pairwise_sum
+from levyou.harness import _ks_distance, _pairwise_sum
 
 from conftest import base_config
 
@@ -345,6 +347,41 @@ class TestRunValidation:
         assert report.degenerate
 
 
+def ks_distance_formula(sorted_samples, ec):
+    """Reference: _ks_distance from whole-array temporaries."""
+    n = sorted_samples.size
+    fx = cdf(sorted_samples, ec)
+    upper = np.arange(1, n + 1) / n
+    lower = np.arange(0, n) / n
+    return float(max(np.max(np.abs(upper - fx)), np.max(np.abs(fx - lower))))
+
+
+class TestKSDistance:
+    @pytest.mark.parametrize("n", [1, 2**15 - 1, 2**15, 2**15 + 1, 100_000])
+    def test_equals_the_whole_array_formula(self, gamma_ou, n):
+        params, driver = gamma_ou
+        table = ExperimentConfig(params=params, driver=driver, T_grid=(10.0,),
+                                 n_samples=1000, seed=0).table(10.0)
+        x = np.sort(np.random.default_rng(n).gamma(2.0, 1.0, n) - 2.0)
+        for p in (2, 3, 4):
+            ec = expansion_coefficients(p, table)
+            assert _ks_distance(x, ec) == ks_distance_formula(x, ec)
+
+    def test_memory_stays_block_sized(self, gamma_ou):
+        # the whole-array formula peaks at ~65 MB of temporaries here
+        params, driver = gamma_ou
+        ec = expansion_coefficients(3, ExperimentConfig(
+            params=params, driver=driver, T_grid=(10.0,), n_samples=1000, seed=0).table(10.0))
+        x = np.sort(np.random.default_rng(4).standard_normal(1_000_000))
+        tracemalloc.start()
+        try:
+            _ks_distance(x, ec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
+
+
 class TestMeanEstimatorDemo:
     def test_parameter_enforcement(self, gamma_ou):
         params, driver = gamma_ou  # rho = 0.5 violates the required shape
@@ -368,6 +405,26 @@ class TestMeanEstimatorDemo:
         res = mean_estimator_demo(ExperimentConfig(params=params, driver=driver, T_grid=(10.0,),
                                                    n_samples=20_000, seed=14, workers=1))
         assert res.summary["ks_order3"] <= res.summary["ks_normal"]
+
+    def test_memory_holds_the_draws_and_a_block(self):
+        # 100k draws: the draws, theta-hats with std's one temporary, and
+        # block-sized k-statistics and KS passes (the draws are sorted in place)
+        params = ModelParams(lam=1.0, gamma=0.0, beta=1.0, rho=0.0)
+        driver = DriverSpec.cpexp(b=1.0, c=1.0, alpha=1.0)
+
+        def config(n):
+            return ExperimentConfig(params=params, driver=driver, T_grid=(50.0,),
+                                    n_samples=n, seed=16, workers=1)
+
+        n = 100_000
+        mean_estimator_demo(config(1000))  # a first call also counts numpy's lazy imports
+        tracemalloc.start()
+        try:
+            mean_estimator_demo(config(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * n, peak / (8 * n)
 
 
 class TestConvergenceStudy:

@@ -50,6 +50,37 @@ def path_recursion_ref(x0, q, eta_d, drift_x, drift_i, a11, a21, a22,
     return np.array(X), np.concatenate(([0.0], np.cumsum(dy)))
 
 
+# The parent formulas with a fresh temporary per operation: the in-place
+# kernels must give their bits exactly.
+
+def jump_step_sums_formula(jt, js, offsets, lam, dt):
+    e = np.exp(-lam * (dt - jt))
+    return (_kernels._segment_sums(e * js, offsets),
+            _kernels._segment_sums((1.0 - e) / lam * js, offsets))
+
+
+def path_recursion_formula(x0, q, eta_d, drift_x, drift_i, a11, a21, a22,
+                           g1, g2, dxj, ij, lam, beta, gamma, rho, dt):
+    n = g1.size
+    X = np.empty(n + 1)
+    X[0] = x0
+    c = X[1:]
+    c[:] = a11 * g1 + drift_x + dxj
+    c[0] += q * x0
+    s = 1
+    while s < n:
+        c[s:] += q ** s * c[:-s]
+        s *= 2
+    x = X[:-1]
+    i_step = eta_d * x + drift_i + a21 * g1 + a22 * g2 + ij
+    dz = (X[1:] - x) + lam * i_step
+    return X, np.concatenate(([0.0], np.cumsum(gamma * dt + beta * i_step + rho * dz)))
+
+
+def _copies(args):
+    return tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
+
+
 def gathered_central_moments_ref(x, idx):
     n = idx.size
     mean = sum(x[i] for i in idx) / n
@@ -122,11 +153,20 @@ def test_jump_step_sums_match_reference(rng):
     offsets = _offsets(counts)
     jt = rng.uniform(0.0, 0.05, offsets[-1])
     js = rng.exponential(1.0, offsets[-1])
+    ref = jump_step_sums_ref(jt, js, offsets, 0.8, 0.05)  # before jt is overwritten
     got = _kernels.jump_step_sums(jt, js, offsets, 0.8, 0.05)
-    ref = jump_step_sums_ref(jt, js, offsets, 0.8, 0.05)
     for g, r in zip(got, ref):
         np.testing.assert_allclose(g, r, rtol=1e-13, atol=1e-14)
         assert np.all(g[counts == 0] == 0.0)
+
+
+def test_jump_step_sums_are_the_formulas_bits_and_overwrite_jt(jump_workload):
+    jt, js, offsets = jump_workload
+    want = jump_step_sums_formula(jt, js, offsets, 0.8, 10.0)
+    e = np.exp(-0.8 * (10.0 - jt))
+    got = _kernels.jump_step_sums(jt, js, offsets, 0.8, 10.0)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert np.array_equal(jt, e)
 
 
 def test_jump_step_sums_no_jumps():
@@ -175,8 +215,8 @@ def test_path_recursion_matches_reference(rng, with_jumps):
     ij = rng.exponential(0.05, n) if with_jumps else np.zeros(n)
     args = (0.4, 0.97, 0.03, 0.001, 0.0005, 0.02, 0.01, 0.007,
             g1, g2, dxj, ij, 1.2, 1.0, 0.3, 0.5, 0.03)
+    X_ref, Y_ref = path_recursion_ref(*args)  # before g1 and g2 are overwritten
     X, Y = _kernels.path_recursion(*args)
-    X_ref, Y_ref = path_recursion_ref(*args)
     assert X.shape == Y.shape == (n + 1,)
     assert X[0] == X_ref[0] and Y[0] == 0.0
     assert max(_scaled_errors((X, Y), (X_ref, Y_ref))) <= 1e-12
@@ -192,9 +232,21 @@ def test_path_recursion_matches_reference(rng, with_jumps):
 def test_path_recursion_edge_cases_match_reference(rng, n, lam_dt):
     lam = 1.0
     args = _path_args(rng, n, lam, lam_dt / lam)
+    ref = path_recursion_ref(*args)  # before g1 and g2 are overwritten
     got = _kernels.path_recursion(*args)
     assert got[0].shape == got[1].shape == (n + 1,)
-    assert max(_scaled_errors(got, path_recursion_ref(*args))) <= 1e-12
+    assert max(_scaled_errors(got, ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, lam_dt", [(1, 0.1), (2, 0.1), (1000, 0.1), (300, 800.0)])
+@pytest.mark.parametrize("with_gaussian", [True, False])
+def test_path_recursion_is_the_formulas_bits(rng, n, lam_dt, with_gaussian):
+    args = _path_args(rng, n, 1.0, lam_dt)
+    if not with_gaussian:  # as sample_path passes them: two rows of one array
+        args = args[:5] + (0.0, 0.0, 0.0) + tuple(np.zeros((2, n))) + args[10:]
+    want = path_recursion_formula(*_copies(args))
+    got = _kernels.path_recursion(*args)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -215,8 +267,8 @@ def test_path_recursion_extended_precision_oracle(rng, lam, dt):
     wide = tuple(np.asarray(a, dtype=np.longdouble) if isinstance(a, np.ndarray)
                  else np.longdouble(a) for a in args)
     oracle = path_recursion_ref(*wide)
-    scan_err = _scaled_errors(_kernels.path_recursion(*args), oracle)
     loop_err = _scaled_errors(path_recursion_ref(*args), oracle)
+    scan_err = _scaled_errors(_kernels.path_recursion(*args), oracle)  # overwrites g1, g2
     eps = np.finfo(np.float64).eps
     for scan, loop in zip(scan_err, loop_err):
         assert scan <= 1e-12

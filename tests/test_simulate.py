@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy import stats
 from levyou import _kernels, simulate
 from levyou import (
     DriverSpec,
+    ExperimentConfig,
     ModelParams,
     driver_cumulants,
     expected_terminal,
@@ -25,8 +27,10 @@ from levyou import (
     stationary_cumulants,
     write_path_csv,
 )
+from levyou.config import load_config
 
 KS_LEVEL = 0.001
+EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_gamma_ou.json"
 
 
 def jump_counts(sampler, params, driver, span, seed, n):
@@ -399,6 +403,21 @@ class TestSampleDeviation:
                 tracemalloc.stop()
             assert peak < bound, (sampler, c, n, peak)
 
+    def test_path_jump_sums_hold_three_blocks(self):
+        # a path at c*T = 2e6 on 64 steps, runs of ~2 steps of ~31k jumps:
+        # the run's two buffers and jump_step_sums' one product buffer
+        params = ModelParams(lam=0.5, gamma=0.1, beta=1.0, rho=0.5)
+        driver = DriverSpec.mixed(b=0.8, C=1.0, c=5e4, alpha=1.5)
+        n = 64
+        bound = 3.5 * 8 * simulate.JUMP_BLOCK + 16 * 8 * n
+        tracemalloc.start()
+        try:
+            sample_path(params, driver, 40.0, n, seed=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak
+
     def test_too_many_expected_jumps_is_refused_before_drawing(self, gamma_ou):
         params, _ = gamma_ou
         driver = DriverSpec.cpexp(b=1.0, c=1000.0, alpha=1.0)
@@ -476,6 +495,20 @@ class TestSamplePath:
         path = sample_path(params, driver, 6.0, 12, seed=5)
         assert path.deviation == pytest.approx(
             path.Y[-1] - expected_terminal(params, driver, 6.0), abs=1e-12)
+
+    def test_memory_holds_the_outputs_and_the_step_arrays(self):
+        # the shipped example at 100k steps: X, Y and times, and the step
+        # arrays g1, g2, dxj and ij, in which the step temporaries are built
+        ecfg = ExperimentConfig.from_dict(load_config(EXAMPLE))
+        n = 100_000
+        sample_path(ecfg.params, ecfg.driver, ecfg.T_grid[0], 1000, seed=70)
+        tracemalloc.start()
+        try:
+            sample_path(ecfg.params, ecfg.driver, ecfg.T_grid[0], n, seed=71)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.5 * 8 * n, peak / (8 * n)
 
     def test_csv_dump(self, gamma_ou):
         params, driver = gamma_ou
