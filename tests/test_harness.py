@@ -357,21 +357,22 @@ def ks_distance_formula(sorted_samples, ec):
 
 
 class TestKSDistance:
-    @pytest.mark.parametrize("n", [1, 2**15 - 1, 2**15, 2**15 + 1, 100_000])
-    def test_equals_the_whole_array_formula(self, gamma_ou, n):
+    @pytest.fixture()
+    def table(self, gamma_ou):
         params, driver = gamma_ou
-        table = ExperimentConfig(params=params, driver=driver, T_grid=(10.0,),
-                                 n_samples=1000, seed=0).table(10.0)
+        return ExperimentConfig(params=params, driver=driver, T_grid=(10.0,),
+                                n_samples=1000, seed=0).table(10.0)
+
+    @pytest.mark.parametrize("n", [1, 2**15 - 1, 2**15, 2**15 + 1, 100_000])
+    def test_equals_the_whole_array_formula(self, table, n):
         x = np.sort(np.random.default_rng(n).gamma(2.0, 1.0, n) - 2.0)
         for p in (2, 3, 4):
             ec = expansion_coefficients(p, table)
             assert _ks_distance(x, ec) == ks_distance_formula(x, ec)
 
-    def test_memory_stays_block_sized(self, gamma_ou):
+    def test_memory_stays_block_sized(self, table):
         # the whole-array formula peaks at ~65 MB of temporaries here
-        params, driver = gamma_ou
-        ec = expansion_coefficients(3, ExperimentConfig(
-            params=params, driver=driver, T_grid=(10.0,), n_samples=1000, seed=0).table(10.0))
+        ec = expansion_coefficients(3, table)
         x = np.sort(np.random.default_rng(4).standard_normal(1_000_000))
         tracemalloc.start()
         try:
