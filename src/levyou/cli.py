@@ -104,7 +104,7 @@ def cmd_cumulants(ecfg: ExperimentConfig, args) -> int:
 
 
 def cmd_density(ecfg: ExperimentConfig, args) -> int:
-    from ._shortest import write_rows  # imported here so that `import levyou` does not pay for it
+    from ._shortest import RowWriter  # imported here so that `import levyou` does not pay for it
 
     if ecfg.params.degenerate:
         print("model is degenerate (beta + rho*lam = 0): the limiting variance "
@@ -122,14 +122,15 @@ def cmd_density(ecfg: ExperimentConfig, args) -> int:
         names[name] = T
     ys = np.linspace(*ecfg.density_grid)
     out_dir = Path(args.out)
+    writer = RowWriter()  # formats ys once for every horizon
     for name, T in names.items():
         table = ecfg.table(T)
         ecs = {p: expansion_coefficients(p, table) for p in ecfg.p_orders}
         cols = {p: density(ys, ec) for p, ec in ecs.items()}
         path = out_dir / name
-        with path.open("w") as fh:
-            fh.write("y," + ",".join(f"g_{p}" for p in ecfg.p_orders) + "\n")
-            write_rows(fh, [ys] + [cols[p] for p in ecfg.p_orders])
+        with path.open("wb") as fh:
+            fh.write(("y," + ",".join(f"g_{p}" for p in ecfg.p_orders) + "\n").encode())
+            writer.write(fh, [ys] + [cols[p] for p in ecfg.p_orders])
         print(f"wrote {path}")
         for p in ecfg.p_orders:
             mn, at = negative_density_report(ecs[p])
@@ -169,16 +170,20 @@ def cmd_expect(ecfg: ExperimentConfig, args) -> int:
 
 
 def cmd_simulate(ecfg: ExperimentConfig, args) -> int:
+    from ._shortest import RowWriter  # imported here so that `import levyou` does not pay for it
+
     T = ecfg.T_grid[0]
     out_dir = Path(args.out)
     deviations = []
+    writer = RowWriter()  # formats the time grid shared by the paths once
     for i in range(ecfg.n_paths):
         child = int(np.random.SeedSequence(ecfg.seed, spawn_key=(i,)).generate_state(1)[0])
         path = sample_path(ecfg.params, ecfg.driver, T, ecfg.n_steps, seed=child)
         fname = out_dir / f"path_{i:03d}.csv"
-        with fname.open("w") as fh:
-            write_path_csv(path, fh)
+        with fname.open("wb") as fh:
+            write_path_csv(path, fh, writer)
         deviations.append(path.deviation)
+        del path  # the next path is sampled without this one beside it
     summary = out_dir / "simulate_summary.json"
     summary.write_text(json.dumps({
         "config_hash": ecfg.config_hash(),

@@ -44,6 +44,9 @@ CHUNK = 4096
 
 # Samples per block of k_statistics' passes: 256 KB of float64 stays in cache.
 _LEAF = 1 << 15
+# Sorted draws per block of the KS pass, whose expansion CDF holds a Python
+# float per draw and a few arrays besides: ~650 KB of temporaries a block.
+_KS_BLOCK = 1 << 13
 
 _FOOTNOTES = (
     "Remainder constants of the expansion error bound are not computable; "
@@ -288,13 +291,13 @@ def _ks_distance(sorted_samples: np.ndarray, ec: ExpansionCoefficients) -> float
     """sup |F_n - F| of the sorted samples' empirical law to `cdf` under ec.
 
     The one-sided gaps i/n - F(x_i) and F(x_i) - (i-1)/n are taken over
-    blocks of _LEAF samples, so the temporaries stay block-sized; a maximum
+    blocks of _KS_BLOCK samples, so the temporaries stay block-sized; a maximum
     is exact, so the result equals the whole-array formula bit for bit.
     """
     n = sorted_samples.size
     gaps = []
-    for lo in range(0, n, _LEAF):
-        fx = cdf(sorted_samples[lo:lo + _LEAF], ec)
+    for lo in range(0, n, _KS_BLOCK):
+        fx = cdf(sorted_samples[lo:lo + _KS_BLOCK], ec)
         i = np.arange(lo, lo + fx.size)
         gaps.append(np.max(np.abs((i + 1) / n - fx)))
         gaps.append(np.max(np.abs(fx - i / n)))
@@ -318,11 +321,22 @@ def mean_estimator_demo(cfg: ExperimentConfig) -> MeanEstimatorResult:
     theta0 = cfg.kappa_f.get(1)
     scaled = draw_normalized_samples(params, cfg.driver, T, n_samples, cfg.seed,
                                      workers=cfg.resolved_workers(), stream_tag=0)
-    theta_hats = theta0 + scaled / math.sqrt(T)
-    theta_hat = float(theta_hats.mean())
+
+    # The theta-hats theta0 + scaled / sqrt(T), their mean and their
+    # std(ddof=1) over blocks of _LEAF draws, summed in add.reduce's
+    # pairwise order, so both have the bits of the whole-array formulas.
+    def theta_hats(i, j):
+        return theta0 + scaled[i:j] / math.sqrt(T)
+
+    def squares(i, j):
+        d = theta_hats(i, j) - mean
+        return np.add.reduce(d * d)
+
+    mean = _pairwise_sum(lambda i, j: np.add.reduce(theta_hats(i, j)), n_samples) / n_samples
+    theta_hat = float(mean)
     bias = theta_hat - theta0
-    bias_se = float(theta_hats.std(ddof=1) / math.sqrt(n_samples))
-    del theta_hats
+    std = np.sqrt(_pairwise_sum(squares, n_samples) / (n_samples - 1))
+    bias_se = float(std / math.sqrt(n_samples))
     ks = k_statistics(scaled, r_max=2)
     var_scaled = float(ks.values[1])
     var_se = float(ks.se[1])

@@ -9,6 +9,7 @@ laws; there is no discretization bias at any step size.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -329,7 +330,7 @@ def sample_path(params: ModelParams, driver: DriverSpec, T: float, n_steps: int,
     return PathSample(times=times, X=X, Y=Y, deviation=deviation, seed=int(seed))
 
 
-def write_path_csv(path: PathSample, fileobj) -> None:
+def write_path_csv(path: PathSample, fileobj, writer=None) -> None:
     """Dump a path as CSV with header t,X,Y, one row per grid point.
 
     Every value is written as repr(float(v)), its shortest round-trip
@@ -338,8 +339,19 @@ def write_path_csv(path: PathSample, fileobj) -> None:
     Ryu digit search; values outside its fast path, such as 0.0, dyadic
     rationals and values that repr writes in scientific form, go through
     repr itself, so the bytes are exactly those of a per-row repr loop.
+
+    `fileobj` is a text file, or a binary one, which gets the ASCII bytes
+    without a decode.  `writer` is a `_shortest.RowWriter` shared by the
+    paths of one command: it keeps the field bytes of the last path's time
+    column, and a path whose time grid has the same bits reuses them
+    instead of formatting it again.  Without one, the call uses a writer of
+    its own that keeps nothing.  The work arrays take about 100 bytes per
+    value of a block (3 × 8192 values) and live for the call.
     """
     from . import _shortest  # imported here so that `import levyou` does not pay for it
 
-    fileobj.write("t,X,Y\n")
-    _shortest.write_rows(fileobj, (path.times, path.X, path.Y))
+    header = "t,X,Y\n"
+    fileobj.write(header if isinstance(fileobj, io.TextIOBase) else header.encode())
+    if writer is None:
+        writer = _shortest.RowWriter(keep_first=False)
+    writer.write(fileobj, (path.times, path.X, path.Y))

@@ -40,6 +40,25 @@ EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_gamma_ou.json"
 _THETA_HAT_DIGEST = "5327546d081c91397ce7d1acdd646e58d7bd2f0b21c4881f574cfdfed2e669d3"
 THETA_HAT_DIGESTS = {"b5c9e09238084d3a": _THETA_HAT_DIGEST, "4445dd6db5019aad": _THETA_HAT_DIGEST}
 
+# path_000.csv .. path_003.csv of TestSimulateCommand's benchmark op, as
+# written when every path formatted its own time column, recorded with numpy
+# 2.4 on x86-64 under test_simulate's two float canaries.  The jumps of paths
+# 1 and 3 take the AVX-512 exp/expm1 bits.
+SIMULATE_DIGESTS = {
+    "b5c9e09238084d3a": (
+        "d3b5e8fabaed6e7b85477654f78a9fd9df5b7c8901189c50c21f82d49a70e4eb",
+        "1c9637e86b9990a0c5ad0dcd9d70f0bb9ca24a43ab2cd55e30c3ff1a93bef6ce",
+        "7f0b8c07407e1e4eb0914d7c00e166a14951a22519f2c60467894c1b08056e0a",
+        "3167b288a4dc125b3ea5754854c4e38c22f9c3c3b1a263ea73c2fa15a2557389",
+    ),
+    "4445dd6db5019aad": (
+        "d3b5e8fabaed6e7b85477654f78a9fd9df5b7c8901189c50c21f82d49a70e4eb",
+        "1fe0e8605608fbe86d3dbb38cc074005fc39b1b6e90292901969bcf3afbdc3fd",
+        "7f0b8c07407e1e4eb0914d7c00e166a14951a22519f2c60467894c1b08056e0a",
+        "3363018e0ebe1d4e5c81ddb3e5117959da984db35ccf278a959d360d1e24c06d",
+    ),
+}
+
 
 def run_cli(subcommand, config_path, out_dir, *extra):
     return main([subcommand, "--config", str(config_path), "--out", str(out_dir),
@@ -347,6 +366,18 @@ class TestSimulateCommand:
         assert np.array_equal(X, path.X) and np.array_equal(Y, path.Y)
         summary = json.loads((tmp_path / "simulate_summary.json").read_text())
         assert summary["deviations"] == [path.deviation]
+
+    def test_benchmark_op_writes_the_recorded_bytes(self, tmp_path):
+        # the benchmark's explore simulate op: four 100k-step paths, whose
+        # time column the command's writer formats once
+        canary = float_canary()
+        if canary not in SIMULATE_DIGESTS:
+            pytest.skip(f"no digests recorded under float canary {canary}")
+        assert run_cli("simulate", EXAMPLE, tmp_path, "--set", "sim.n_steps=100000",
+                       "--set", "sim.n_paths=4", "--seed", "4242", "--workers", "2") == 0
+        got = tuple(hashlib.sha256((tmp_path / f"path_{i:03d}.csv").read_bytes()).hexdigest()
+                    for i in range(4))
+        assert got == SIMULATE_DIGESTS[canary]
 
 
 class TestValidateCommand:

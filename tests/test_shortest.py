@@ -8,6 +8,8 @@ writes in scientific form.  `reference_path_csv` is the per-row loop that
 
 import io
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,11 @@ def reference_path_csv(path, fileobj):
     fileobj.write("t,X,Y\n")
     for t, x, y in zip(path.times, path.X, path.Y):
         fileobj.write(f"{float(t)!r},{float(x)!r},{float(y)!r}\n")
+
+
+def repr_rows(cols):
+    """The per-row repr loop's text of the rows of `cols`."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in zip(*cols))
 
 
 def assert_values_match_repr(values):
@@ -82,7 +89,7 @@ def test_decimal_grids_match_repr():
 def test_rows_join_columns_and_blocks(monkeypatch):
     rng = np.random.default_rng(5)
     cols = [rng.standard_normal(50), -rng.exponential(size=50) * 1e-3, np.arange(50) / 7.0]
-    expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in zip(*cols))
+    expected = repr_rows(cols)
     for block in (7, 50, 8192):
         monkeypatch.setattr(_shortest, "BLOCK_ROWS", block)
         buf = io.StringIO()
@@ -102,19 +109,101 @@ def test_blocks_without_fast_values_skip_the_vector_stages(monkeypatch, kind):
     vector_blocks = []
     real = _shortest._shortest_digits
     monkeypatch.setattr(_shortest, "_shortest_digits",
-                        lambda x, w: vector_blocks.append(x.size) or real(x, w))
+                        lambda x, *args: vector_blocks.append(x.size) or real(x, *args))
     monkeypatch.setattr(_shortest, "BLOCK_ROWS", 64)
     buf = io.StringIO()
     _shortest.write_rows(buf, cols)
-    expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in zip(*cols))
-    assert buf.getvalue() == expected
+    assert buf.getvalue() == repr_rows(cols)
     assert vector_blocks == [3 * 64] * 3
+
+
+def next_first_column(first, kind, k):
+    """A first column for a writer's next call: the same bits in a new
+    array, one bit flipped, a zero of the other sign than the value it
+    replaces, a NaN with payload k, or a column k % 5 - 2 rows longer."""
+    col = first.copy()
+    bits = col.view(np.uint64)
+    i = k % col.size
+    if kind == "bit":
+        bits[i] ^= np.uint64(1 << (k % 64))
+    elif kind == "zero sign":
+        col[i] = 0.0 if np.signbit(col[i]) else -0.0
+    elif kind == "nan payload":
+        bits[i] = np.uint64(0x7FF8000000000000 | k)
+    elif kind == "length":
+        more = k % 5 - 2
+        col = np.concatenate([col, col[:more]]) if more > 0 else col[:max(col.size + more, 1)]
+    return col
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40),
+       st.lists(st.tuples(st.sampled_from(["same", "bit", "zero sign", "nan payload", "length"]),
+                          st.integers(0, 2**16), st.sampled_from([3, 7, 8192]),
+                          st.integers(1, 3)),
+                min_size=1, max_size=6))
+def test_a_writer_reuses_a_first_column_only_with_the_same_bits(values, calls):
+    # successive calls through one writer, each changing the first column by
+    # `kind`, BLOCK_ROWS and the number of columns; every call must write
+    # the per-row repr loop's text
+    rng = np.random.default_rng(len(values))
+    first = np.array(values)
+    writer = _shortest.RowWriter()
+    block_rows = _shortest.BLOCK_ROWS
+    try:
+        for kind, k, block, ncols in calls:
+            first = next_first_column(first, kind, k)
+            cols = [first] + [rng.standard_normal(first.size) for _ in range(ncols - 1)]
+            _shortest.BLOCK_ROWS = block
+            buf = io.StringIO()
+            writer.write(buf, cols)
+            assert buf.getvalue() == repr_rows(cols)
+    finally:
+        _shortest.BLOCK_ROWS = block_rows
+
+
+def test_a_writer_formats_an_equal_first_column_once(monkeypatch):
+    rng = np.random.default_rng(12)
+    t = np.linspace(0.0, 5.0, 201)
+    formatted = []
+    real = _shortest._shortest_digits
+    monkeypatch.setattr(_shortest, "_shortest_digits",
+                        lambda x, *args: formatted.append(x.size) or real(x, *args))
+    monkeypatch.setattr(_shortest, "BLOCK_ROWS", 64)
+    writer = _shortest.RowWriter()
+    for _ in range(3):
+        cols = [t.copy(), rng.standard_normal(t.size), rng.standard_normal(t.size)]
+        buf = io.BytesIO()
+        writer.write(buf, cols)
+        assert buf.getvalue().decode() == repr_rows(cols)
+    blocks = [3 * 64] * 3 + [3 * 9]
+    assert formatted == blocks + [2 * size // 3 for size in blocks] * 2
+
+
+def test_write_path_csv_holds_one_block_of_work_arrays():
+    # a 100k-step example path: ~100 bytes per value of a 3 x 8192-value
+    # block, and the block's field matrix and text; a writer of its own
+    # keeps no time column
+    params = ModelParams(lam=1.0, gamma=0.0, beta=1.0, rho=0.5)
+    driver = DriverSpec.cpexp(b=1.0, c=1.0, alpha=1.0)
+    path = sample_path(params, driver, 5.0, n_steps=100_000, seed=11)
+    with open(os.devnull, "wb") as sink:
+        write_path_csv(path, sink)  # a first call also counts numpy's lazy imports
+        tracemalloc.start()
+        try:
+            write_path_csv(path, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 def test_common_values_take_the_fast_path():
     # values that repr writes positionally with 15-17 digits skip repr
     x = np.random.default_rng(3).standard_normal(100_000)
-    ok = _shortest._shortest_digits(x, _shortest._Scratch())[0]
+    ok = (np.abs(x) >= 1e-4) & (np.abs(x) < 2.0 ** 50)
+    assert ok.mean() > 0.999
+    _shortest._shortest_digits(x, np.abs(x), ok, _shortest._Scratch())
     assert ok.mean() > 0.999
 
 
