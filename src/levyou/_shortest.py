@@ -58,8 +58,9 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 # uint64 rows of a block's work arena, `u`, each holding one word per value.
 # Ryu's stage uses all of them and leaves the digits in u[5].  The layout
 # then reuses the dead rows, as the uint8 rows U of the same memory: the
-# 8-digit words in u[0..3] and u[6] first, then the digit pairs in U[32:41],
-# the field matrix in U[0:25], and last the position masks in U[25:47].
+# 8-digit words and their temporaries in u[0..3] and u[6] first, then the
+# digit pairs in U[32:41], the field matrix in U[0:25], and last the
+# position masks in U[25:47].
 _WORDS = 7
 
 
@@ -118,8 +119,9 @@ def _shortest_digits(x, ax, ok, w):
     """Ryu's shortest digits of x (float64, 1-D) where `ok` is true.
 
     `ok` must hold only values with 1e-4 <= |v| < 2**50 and a fraction, and
-    `ax` is |x| in the arena row u[1].  `ok` is then cleared where the fast
-    path does not apply.  Returns (digits, frac, length): where ok is true,
+    `ax` is |x| (`_fields` keeps it in the arena row u[1], which is
+    overwritten once it is read).  `ok` is then cleared where the fast path
+    does not apply.  Returns (digits, frac, length): where ok is true,
     repr(float(x)) is positional with `length` characters besides its sign:
     the digits of the integer `digits`, padded with leading zeros to at
     least frac + 1 digits, with the decimal point before the last `frac`
@@ -337,8 +339,9 @@ def _fields(cols, w, first=None):
         wide[:] = 0
     widths = wide.reshape(k, rows).max(axis=1).astype(np.intp)
     rest = np.flatnonzero(~ok)
+    col = rest // rows
     slow = [repr(v).encode() for v in x[rest].tolist()]
-    np.maximum.at(widths, rest // rows, np.array([len(s) for s in slow], dtype=np.intp))
+    np.maximum.at(widths, col, np.array([len(s) for s in slow], dtype=np.intp))
     width = int(widths.max())
     m = u.view(np.uint8).reshape(-1, n)[:max(width, _DIGITS) + 1]
     sep = m.shape[0] - 1
@@ -349,14 +352,13 @@ def _fields(cols, w, first=None):
     m[sep] = ord(",")
     m[sep, n - rows:] = ord("\n")
     widths = widths.tolist()
-    col = rest // rows
     for c, wc in enumerate(widths):
         part = m[sep - wc:, c * rows:(c + 1) * rows]
         part[0] += np.multiply(neg[c * rows:(c + 1) * rows], np.uint8(ord("-")), out=wide[:rows])
-        at = np.flatnonzero(col == c)
-        if at.size:
-            text = np.array([slow[i] for i in at.tolist()], dtype=f"S{wc}")
-            part[:wc, rest[at] - c * rows] = text.view(np.uint8).reshape(-1, wc).T
+        mine = np.flatnonzero(col == c)
+        if mine.size:
+            text = np.array([slow[i] for i in mine.tolist()], dtype=f"S{wc}")
+            part[:wc, rest[mine] - c * rows] = text.view(np.uint8).reshape(-1, wc).T
     out = w("out", (rows, done + sum(widths) + k), np.uint8)
     if first is not None:
         out[:, :done] = first

@@ -202,7 +202,6 @@ def test_common_values_take_the_fast_path():
     # values that repr writes positionally with 15-17 digits skip repr
     x = np.random.default_rng(3).standard_normal(100_000)
     ok = (np.abs(x) >= 1e-4) & (np.abs(x) < 2.0 ** 50)
-    assert ok.mean() > 0.999
     _shortest._shortest_digits(x, np.abs(x), ok, _shortest._Scratch())
     assert ok.mean() > 0.999
 
