@@ -317,26 +317,19 @@ def _fields(cols, w, first=None):
     x = x.reshape(-1)
     u = w("u", (_WORDS, n))
     # Only a value with 1e-4 <= |v| < 2**50 and a fraction can take the fast
-    # path.  A block with none (zeros, integers, tiny tails) is all repr,
-    # and the vector stages would only add to its cost.
+    # path.
     ax = np.abs(x, out=u[1].view(np.float64))
     with np.errstate(invalid="ignore"):  # a signalling NaN payload is no error here
         whole = np.floor(ax, out=u[2].view(np.float64))
     ok = np.greater_equal(ax, 1e-4, out=w("ok", n, bool))
     ok &= np.less(ax, 2.0 ** 50, out=w("flag", n, bool))
     ok &= np.not_equal(ax, whole, out=w("flag", n, bool))
-    fast = bool(ok.any())
-    if fast:
-        digits, frac, length = _shortest_digits(x, ax, ok, w)
+    digits, frac, length = _shortest_digits(x, ax, ok, w)
     # A field's width is its column's longest text, with a '-' in front of a
     # negative fast value.
     neg = np.signbit(x, out=w("neg", n, bool))
-    wide = w("wide", n, np.uint8)
-    if fast:
-        np.add(length, neg, out=wide)
-        wide *= ok
-    else:
-        wide[:] = 0
+    wide = np.add(length, neg, out=w("wide", n, np.uint8))
+    wide *= ok
     widths = wide.reshape(k, rows).max(axis=1).astype(np.intp)
     rest = np.flatnonzero(~ok)
     col = rest // rows
@@ -345,10 +338,7 @@ def _fields(cols, w, first=None):
     width = int(widths.max())
     m = u.view(np.uint8).reshape(-1, n)[:max(width, _DIGITS) + 1]
     sep = m.shape[0] - 1
-    if fast:
-        _layout(m[:sep], digits, frac, length, u)
-    else:
-        m[:sep] = 0
+    _layout(m[:sep], digits, frac, length, u)
     m[sep] = ord(",")
     m[sep, n - rows:] = ord("\n")
     widths = widths.tolist()

@@ -16,12 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    ExperimentConfig,
-    apply_override,
-    load_config,
-    validate_config,
-)
+from .config import ExperimentConfig, apply_override, load_config
 from .cumulants import normalized_cumulant_limit
 from .edgeworth import (
     GrowthBoundError,
@@ -258,7 +253,6 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         if args.workers is not None:
             cfg["workers"] = args.workers
-        validate_config(cfg)
         ecfg = ExperimentConfig.from_dict(cfg)
         Path(args.out).mkdir(parents=True, exist_ok=True)
         return _DISPATCH[args.subcommand](ecfg, args)

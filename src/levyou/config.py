@@ -3,7 +3,8 @@ and ExperimentConfig, the parsed config that every subcommand runs from.
 
 CONFIG_SCHEMA and REPORT_SCHEMA below are the only copies of the config and
 report schemas; docs/example_gamma_ou.json is a worked example.
-ExperimentConfig holds itself to CONFIG_SCHEMA as well, so a config built in
+ExperimentConfig.from_dict holds its document to CONFIG_SCHEMA, and
+ExperimentConfig holds its own fields to it as well, so a config built in
 code meets the rules of a config file.
 validate_config checks a config against CONFIG_SCHEMA with a small
 interpreter of the draft-07 keywords that schema uses, which also requires
@@ -382,7 +383,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Parse a config document; absent optional keys take the field defaults."""
+        """Parse a config document, held to CONFIG_SCHEMA (ConfigError
+        otherwise); absent optional keys take the field defaults."""
+        validate_config(d)
         params = ModelParams(**{k: float(v) for k, v in d["params"].items()})
         drv = dict(d["driver"])
         variant = drv.pop("variant")

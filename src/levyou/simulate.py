@@ -42,9 +42,8 @@ JUMP_BLOCK = 1 << 16
 
 # Largest expected jump count of one sampler call: c*T per draw times the
 # draws of the call (one for a path).  It bounds a call's run time and the
-# jump arrays of a single draw or path step (and the one arrival-time block
-# of a generator that cannot jump ahead, 2 GiB at 2**28); a call that
-# expects more is refused before anything is drawn.
+# jump arrays of a single draw or path step; a call that expects more is
+# refused before anything is drawn.
 MAX_EXPECTED_JUMPS = 1 << 28
 
 
@@ -71,6 +70,8 @@ class DriverSpec:
             raise ValueError("gaussian component requires C > 0")
         if self.variant == "cpexp" and self.C != 0:
             raise ValueError("cpexp driver must have C = 0")
+        if self.variant == "gaussian" and self.c != 0:
+            raise ValueError("gaussian driver must have c = 0")
         if self.variant in ("cpexp", "mixed"):
             if not (self.c > 0 and self.alpha > 0):
                 raise ValueError("jump component requires c > 0 and alpha > 0")
@@ -150,18 +151,27 @@ def _check_jump_budget(driver: DriverSpec, horizon: float, draws: int) -> None:
             f"more than the limit of {MAX_EXPECTED_JUMPS} per call")
 
 
-def _split_stream(rng: np.random.Generator, m: int) -> np.random.Generator:
-    """A generator at rng's position, with rng itself moved past m doubles."""
+def _split_stream(rng: np.random.Generator, m: int, scratch: np.ndarray) -> np.random.Generator:
+    """A generator at rng's position, with rng itself moved past m doubles.
+
+    PCG64(DXSM).advance(k) skips exactly k doubles.  Other bit generators
+    (Philox advances in blocks of four outputs, MT19937 and SFC64 cannot
+    advance) draw the m doubles into `scratch`, a block at a time, and drop
+    them."""
     bg = rng.bit_generator
     state = bg.state
     head = type(bg)(0)
     head.state = state
-    bg.advance(m)
-    if state["has_uint32"]:
-        # advance drops a buffered 32-bit half, which drawing doubles keeps
-        moved = bg.state
-        moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
-        bg.state = moved
+    if type(bg) in (np.random.PCG64, np.random.PCG64DXSM):
+        bg.advance(m)
+        if state["has_uint32"]:
+            # advance drops a buffered 32-bit half, which drawing doubles keeps
+            moved = bg.state
+            moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
+            bg.state = moved
+    else:
+        for lo in range(0, m, scratch.size):
+            rng.random(out=scratch[:m - lo])
     return np.random.Generator(head)
 
 
@@ -180,24 +190,17 @@ def _jump_runs(rng: np.random.Generator, driver: DriverSpec, span: float, n: int
 
     Draw order: one Poisson(c*span) block of n counts, then the m arrival
     times of all spans followed by their m sizes, as if each were one block.
-    For a PCG64 or PCG64DXSM stream the arrival times come from a copy of
-    the generator, which itself jumps ahead past them to the sizes, so a run
-    holds O(max(JUMP_BLOCK, largest span)) memory whatever c*span*n is;
-    other bit generators draw the arrival times as one block.  Either way, at
-    any JUMP_BLOCK, the draws and the final stream position are the same.
+    The arrival times come from a copy of the generator, which itself moves
+    past them to the sizes (`_split_stream`), so a run holds
+    O(max(JUMP_BLOCK, largest span)) memory whatever c*span*n is, and at any
+    JUMP_BLOCK the draws and the final stream position are the same.
     """
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(rng.poisson(driver.c * span, n), out=offsets[1:])
     m = int(offsets[-1])
-    times, times_rng = None, rng  # m <= JUMP_BLOCK is one run, drawn in order
-    if m > JUMP_BLOCK:
-        # PCG64(DXSM).advance(k) skips exactly k doubles; Philox advances in
-        # blocks of four outputs, and MT19937 and SFC64 cannot advance
-        if type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM):
-            times_rng = _split_stream(rng, m)
-        else:
-            times = rng.uniform(0.0, span, m)
     buf = np.empty((2, min(m, JUMP_BLOCK)))
+    # m <= JUMP_BLOCK is one run, drawn in order
+    times_rng = _split_stream(rng, m, buf[0]) if m > JUMP_BLOCK else rng
     i0 = 0
     while i0 < n:
         lo = int(offsets[i0])
@@ -208,11 +211,8 @@ def _jump_runs(rng: np.random.Generator, driver: DriverSpec, span: float, n: int
         run_times, sizes = buf[0, :k], buf[1, :k]
         # random()*span and standard_exponential()*(1/alpha) are the bits of
         # uniform(0, span) and exponential(1/alpha)
-        if times is None:
-            times_rng.random(out=run_times)
-            run_times *= span
-        else:
-            run_times = times[lo:lo + k]
+        times_rng.random(out=run_times)
+        run_times *= span
         rng.standard_exponential(out=sizes)
         sizes *= 1.0 / driver.alpha
         run_offsets = offsets[i0:i1 + 1]

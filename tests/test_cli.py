@@ -92,6 +92,15 @@ class TestConfigErrors:
         cfg = base_config(params={"lam": 1.0, "gamma": 0.0, "beta": 0, "rho": 0.0})
         assert run_cli("cumulants", write_config(cfg), tmp_path) == 2
 
+    def test_gaussian_driver_with_jump_rate_exits_2(self, write_config, tmp_path, capsys):
+        # the jumps would be dropped while c still entered config_hash
+        cfg = base_config(driver={"variant": "gaussian", "C": 1.0, "c": 5.0})
+        out = tmp_path / "out"
+        assert run_cli("cumulants", write_config(cfg), out) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "c = 0" in err and "Traceback" not in err
+        assert list(out.glob("*")) == []
+
 
 class TestCumulantsCommand:
     def test_json_roundtrip_and_bit_exact(self, write_config, tmp_path):

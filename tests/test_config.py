@@ -3,7 +3,8 @@
 On finite configs both accept exactly the same documents, and where a config
 breaks the schema once, both name the same place.  Non-finite numbers, which
 Python's json reads and draft-07 counts as numbers, are rejected as well.
-ExperimentConfig built directly is held to the same schema.
+ExperimentConfig, built directly or from a document, is held to the same
+schema.
 """
 
 import copy
@@ -213,3 +214,19 @@ def test_experiment_config_is_held_to_the_schema(path):
     with pytest.raises(ConfigError, match=rf"^config schema violation at {re.escape(path)}: "):
         dataclasses.replace(example, **BAD_FIELDS[path])
 
+
+
+# Documents that from_dict parsed (a string read as a number, a string read
+# as a one-horizon grid, an ignored key) or failed on with a TypeError.
+BAD_DOCUMENTS = {
+    "n_samples": {**EXAMPLE, "n_samples": "100000"},
+    "T_grid": {**EXAMPLE, "T_grid": "5"},
+    "<root>": {**EXAMPLE, "n_sample": 100000},
+    "params": {**EXAMPLE, "params": {**EXAMPLE["params"], "lambda": 1.0}},
+}
+
+
+@pytest.mark.parametrize("path", BAD_DOCUMENTS)
+def test_from_dict_holds_its_document_to_the_schema(path):
+    with pytest.raises(ConfigError, match=rf"^config schema violation at {re.escape(path)}: "):
+        ExperimentConfig.from_dict(BAD_DOCUMENTS[path])

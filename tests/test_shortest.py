@@ -97,24 +97,20 @@ def test_rows_join_columns_and_blocks(monkeypatch):
         assert buf.getvalue() == expected
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("kind", ["zeros", "integers", "tiny"])
-def test_blocks_without_fast_values_skip_the_vector_stages(monkeypatch, kind):
-    # three blocks of such values are all repr; three normal blocks after
-    # them still take the vector stages
+def test_blocks_without_fast_values_match_repr(monkeypatch, kind):
+    # three blocks of such values, all written by repr, then three normal
+    # blocks
     slow = {"zeros": np.tile([0.0, -0.0], 96),
             "integers": np.concatenate([np.arange(-48.0, 48.0), 2.0 ** 49 + np.arange(96)]),
             "tiny": np.random.default_rng(8).uniform(-1e-6, 1e-6, 192)}[kind]
     rng = np.random.default_rng(9)
     cols = [np.concatenate([rng.permutation(slow), rng.standard_normal(192)]) for _ in range(3)]
-    vector_blocks = []
-    real = _shortest._shortest_digits
-    monkeypatch.setattr(_shortest, "_shortest_digits",
-                        lambda x, *args: vector_blocks.append(x.size) or real(x, *args))
     monkeypatch.setattr(_shortest, "BLOCK_ROWS", 64)
     buf = io.StringIO()
     _shortest.write_rows(buf, cols)
     assert buf.getvalue() == repr_rows(cols)
-    assert vector_blocks == [3 * 64] * 3
 
 
 def next_first_column(first, kind, k):

@@ -109,13 +109,15 @@ def _pcg64_with_buffered_uint32():
 
 
 # generators with a one-output jump-ahead (PCG64, PCG64DXSM) and without
-# (SFC64 has no advance, Philox advances in blocks of four outputs)
+# (SFC64 and MT19937 have no advance, Philox advances in blocks of four
+# outputs)
 STREAMS = {
     "PCG64": lambda: np.random.default_rng(35),
     "PCG64-uint32": _pcg64_with_buffered_uint32,
     "PCG64DXSM": lambda: np.random.Generator(np.random.PCG64DXSM(35)),
     "SFC64": lambda: np.random.Generator(np.random.SFC64(35)),
     "Philox": lambda: np.random.Generator(np.random.Philox(35)),
+    "MT19937": lambda: np.random.Generator(np.random.MT19937(35)),
 }
 
 
@@ -360,7 +362,9 @@ class TestSampleDeviation:
         base, jumps = replay_deviation(params, driver, T, replay, n)
         assert np.all(np.abs(got - (base + jumps)) <= 1e-13 * (np.abs(base) + np.abs(jumps)))
         assert rng.random() == replay.random()  # same stream position
-        assert rng.bit_generator.state["has_uint32"] == replay.bit_generator.state["has_uint32"]
+        # MT19937 draws 32-bit outputs, so its state keeps no buffered half
+        assert (rng.bit_generator.state.get("has_uint32")
+                == replay.bit_generator.state.get("has_uint32"))
 
     @pytest.mark.parametrize("case", DIGEST_CASES)
     def test_draws_are_the_recorded_bytes(self, case):
@@ -369,18 +373,20 @@ class TestSampleDeviation:
             pytest.skip(f"no digests recorded under float canary {canary}")
         assert DIGEST_CASES[case]() == RECORDED_DIGESTS[canary][case]
 
-    def test_jump_runs_hold_two_block_buffers(self):
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_jump_runs_hold_two_block_buffers(self, stream):
         # 4096 draws at c*T = 800, ~50 runs: the runs share one arrival-time
         # and one size buffer of JUMP_BLOCK doubles, and the weights are built
-        # in the arrival times' buffer, so no third jump-sized array is held
+        # in the arrival times' buffer, so no third jump-sized array is held,
+        # whether the stream jumps ahead past the arrival times or not
         params, driver = JUMPS_MODEL
         n = 4096
         # a process's first call also counts ~0.8 MB of numpy's lazy imports
-        sample_deviation(params, driver, 40.0, np.random.default_rng(31), size=n)
+        sample_deviation(params, driver, 40.0, STREAMS[stream](), size=n)
         bound = 2 * 8 * simulate.JUMP_BLOCK + 16 * 8 * n
         tracemalloc.start()
         try:
-            sample_deviation(params, driver, 40.0, np.random.default_rng(32), size=n)
+            sample_deviation(params, driver, 40.0, STREAMS[stream](), size=n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
