@@ -43,10 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Cumulants, Edgeworth expansions, and exact Monte Carlo "
                     "for the integrated Levy-driven OU model.",
     )
-    parser.add_argument("subcommand", choices=[
-        "cumulants", "density", "expect", "simulate", "validate",
-        "theta-hat", "converge",
-    ])
+    parser.add_argument("subcommand", choices=list(_DISPATCH))
     parser.add_argument("--config", required=True, help="path to JSON config file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config entry by dot path (repeatable)")
@@ -60,6 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2) + "\n")
+
+
 def _write_rows(rows: list[dict], columns: list[str], out_dir: Path, stem: str,
                 fmt: str) -> None:
     if fmt == "table":
@@ -70,7 +71,7 @@ def _write_rows(rows: list[dict], columns: list[str], out_dir: Path, stem: str,
         return
     if fmt == "json":
         path = out_dir / f"{stem}.json"
-        path.write_text(json.dumps({"rows": rows}, indent=2) + "\n")
+        _write_json(path, {"rows": rows})
     else:
         path = out_dir / f"{stem}.csv"
         with path.open("w") as fh:
@@ -180,11 +181,11 @@ def cmd_simulate(ecfg: ExperimentConfig, args) -> int:
         deviations.append(path.deviation)
         del path  # the next path is sampled without this one beside it
     summary = out_dir / "simulate_summary.json"
-    summary.write_text(json.dumps({
+    _write_json(summary, {
         "config_hash": ecfg.config_hash(),
         "T": T, "n_steps": ecfg.n_steps, "n_paths": ecfg.n_paths,
         "deviations": deviations,
-    }, indent=2) + "\n")
+    })
     print(f"wrote {ecfg.n_paths} path file(s) and {summary}")
     return _EXIT_OK
 
@@ -193,7 +194,7 @@ def cmd_validate(ecfg: ExperimentConfig, args) -> int:
     report = run_validation(ecfg)
     out_dir = Path(args.out)
     json_path = out_dir / "report.json"
-    json_path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+    _write_json(json_path, report.to_json_dict())
     csv_path = out_dir / "report.csv"
     with csv_path.open("w") as fh:
         report.write_cells_csv(fh)
@@ -211,12 +212,12 @@ def cmd_validate(ecfg: ExperimentConfig, args) -> int:
 def cmd_theta_hat(ecfg: ExperimentConfig, args) -> int:
     result = mean_estimator_demo(ecfg)
     out_path = Path(args.out) / "theta_hat.json"
-    out_path.write_text(json.dumps({
+    _write_json(out_path, {
         "config_hash": ecfg.config_hash(),
         "theta_hat": result.theta_hat,
         "theta0": result.theta0,
         "summary": result.summary,
-    }, indent=2) + "\n")
+    })
     print(f"wrote {out_path}")
     return _EXIT_OK
 
@@ -226,8 +227,7 @@ def cmd_converge(ecfg: ExperimentConfig, args) -> int:
     _write_rows(study.rows, ["r", "T", "scaled", "limit", "gap"],
                 Path(args.out), "converge", args.format)
     slopes_path = Path(args.out) / "converge_slopes.json"
-    slopes_path.write_text(json.dumps(
-        {str(r): s for r, s in study.slopes.items()}, indent=2) + "\n")
+    _write_json(slopes_path, {str(r): s for r, s in study.slopes.items()})
     print(f"wrote {slopes_path}")
     return _EXIT_OK
 

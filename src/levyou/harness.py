@@ -153,8 +153,15 @@ def draw_normalized_samples(params: ModelParams, driver: DriverSpec, T: float,
     """n exact draws of the normalized deviation T^{-1/2}(Y_T - E[Y_T]).
 
     Chunked into fixed CHUNK-sized blocks with per-block streams keyed by
-    (seed, stream_tag, block index); output is independent of `workers`.
+    (seed, stream_tag, block index), each drawn into its own slot of the
+    output by a pool of max(workers, 1) threads, so the output is
+    independent of `workers`.  An exception raised while drawing a chunk,
+    KeyboardInterrupt included, cancels the chunks not yet started and is
+    raised here.
     """
+    # imported here so that `import levyou` does not pay for it (and logging's)
+    from concurrent.futures import ThreadPoolExecutor
+
     out = np.empty(n)
     jobs = [(ci, lo, min(lo + CHUNK, n))
             for ci, lo in enumerate(range(0, n, CHUNK))]
@@ -164,15 +171,8 @@ def draw_normalized_samples(params: ModelParams, driver: DriverSpec, T: float,
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_tag, ci)))
         out[lo:hi] = sample_deviation(params, driver, T, rng, size=hi - lo)
 
-    if workers <= 1 or len(jobs) == 1:
-        for job in jobs:
-            work(job)
-    else:
-        # imported here so that `import levyou` does not pay for it (and logging's)
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(work, jobs))
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as ex:
+        list(ex.map(work, jobs))
     out /= math.sqrt(T)
     return out
 
@@ -309,11 +309,14 @@ def mean_estimator_demo(cfg: ExperimentConfig) -> MeanEstimatorResult:
     at the first horizon of cfg.T_grid, from cfg.n_samples draws.
 
     Requires beta = 1, gamma = 0, rho = 0, in which case sqrt(T) times the
-    estimation error equals the normalized deviation exactly.  Reports the
-    bias, the variance of the scaled error against the closed-form variance,
-    and Kolmogorov-Smirnov distances of the scaled error to the normal and
-    the order-3 expansion.  The predictions come from `cfg.table`, so
-    `chi_override` applies as in every other output.
+    estimation error equals the normalized deviation exactly.  Each
+    theta-hat is then theta0 + d / sqrt(T) for a draw d, so the draws'
+    k-statistics give the bias k_1/sqrt(T) and its SE sqrt(k_2/(T*n)), the
+    mean and the standard error of the mean of the theta-hats.  Reports
+    these, the variance k_2 of the scaled error against the closed-form
+    variance, and Kolmogorov-Smirnov distances of the scaled error to the
+    normal and the order-3 expansion.  The predictions come from
+    `cfg.table`, so `chi_override` applies as in every other output.
     """
     params, T, n_samples = cfg.params, cfg.T_grid[0], cfg.n_samples
     if not (params.beta == 1.0 and params.gamma == 0.0 and params.rho == 0.0):
@@ -321,24 +324,10 @@ def mean_estimator_demo(cfg: ExperimentConfig) -> MeanEstimatorResult:
     theta0 = cfg.kappa_f.get(1)
     scaled = draw_normalized_samples(params, cfg.driver, T, n_samples, cfg.seed,
                                      workers=cfg.resolved_workers(), stream_tag=0)
-
-    # The theta-hats theta0 + scaled / sqrt(T), their mean and their
-    # std(ddof=1) over blocks of _LEAF draws, summed in add.reduce's
-    # pairwise order, so both have the bits of the whole-array formulas.
-    def theta_hats(i, j):
-        return theta0 + scaled[i:j] / math.sqrt(T)
-
-    def squares(i, j):
-        d = theta_hats(i, j) - mean
-        return np.add.reduce(d * d)
-
-    mean = _pairwise_sum(lambda i, j: np.add.reduce(theta_hats(i, j)), n_samples) / n_samples
-    theta_hat = float(mean)
-    bias = theta_hat - theta0
-    std = np.sqrt(_pairwise_sum(squares, n_samples) / (n_samples - 1))
-    bias_se = float(std / math.sqrt(n_samples))
     ks = k_statistics(scaled, r_max=2)
-    var_scaled = float(ks.values[1])
+    k1, var_scaled = (float(v) for v in ks.values)
+    bias = k1 / math.sqrt(T)
+    bias_se = math.sqrt(var_scaled / (T * n_samples))
     var_se = float(ks.se[1])
     table = cfg.table(T)
     sigma_t = table.get(2)
@@ -349,7 +338,7 @@ def mean_estimator_demo(cfg: ExperimentConfig) -> MeanEstimatorResult:
     ks_normal = _ks_distance(scaled, ec2)
     ks_order3 = _ks_distance(scaled, ec3)
     return MeanEstimatorResult(
-        theta_hat=theta_hat,
+        theta_hat=theta0 + bias,
         theta0=theta0,
         summary={
             "T": T, "n_samples": n_samples,

@@ -70,8 +70,8 @@ class DriverSpec:
             raise ValueError("gaussian component requires C > 0")
         if self.variant == "cpexp" and self.C != 0:
             raise ValueError("cpexp driver must have C = 0")
-        if self.variant == "gaussian" and self.c != 0:
-            raise ValueError("gaussian driver must have c = 0")
+        if self.variant == "gaussian" and (self.c != 0 or self.alpha != 1.0):
+            raise ValueError("gaussian driver has no jumps: it must have c = 0 and alpha = 1")
         if self.variant in ("cpexp", "mixed"):
             if not (self.c > 0 and self.alpha > 0):
                 raise ValueError("jump component requires c > 0 and alpha > 0")

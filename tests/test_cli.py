@@ -34,11 +34,14 @@ from test_simulate import float_canary
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_gamma_ou.json"
 
 # theta_hat.json of TestThetaHatCommand's benchmark op, as written when the
-# KS pass took whole-sample temporaries, recorded with numpy 2.4 on x86-64
-# under test_simulate's two float canaries (with and without AVX-512
-# exp/expm1), which give the same bytes here.
-_THETA_HAT_DIGEST = "5327546d081c91397ce7d1acdd646e58d7bd2f0b21c4881f574cfdfed2e669d3"
-THETA_HAT_DIGESTS = {"b5c9e09238084d3a": _THETA_HAT_DIGEST, "4445dd6db5019aad": _THETA_HAT_DIGEST}
+# bias, its SE and theta-hat came from the draws' k-statistics, recorded with
+# numpy 2.4 on x86-64 under test_simulate's two float canaries (with and
+# without AVX-512 exp/expm1), whose draws differ in last bits and so give
+# biases two ulps apart.
+THETA_HAT_DIGESTS = {
+    "b5c9e09238084d3a": "9007bb76b55add4a9fc2d862a66571c67b9f81053973f3d103f3f6071d40ffbc",
+    "4445dd6db5019aad": "0da310476508bb5565b5268855398f3e332cdbb986d7d47405fae8e05b56a088",
+}
 
 # path_000.csv .. path_003.csv of TestSimulateCommand's benchmark op, as
 # written when every path formatted its own time column, recorded with numpy
@@ -100,6 +103,21 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "config error" in err and "c = 0" in err and "Traceback" not in err
         assert list(out.glob("*")) == []
+
+    def test_gaussian_driver_with_jump_size_rate_exits_2(self, tmp_path, capsys):
+        # alpha would change nothing but config_hash
+        out = tmp_path / "out"
+        assert run_cli("cumulants", EXAMPLE, out, "--set",
+                       'driver={"variant":"gaussian","b":1.0,"C":1.0,"alpha":5}') == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "alpha = 1" in err and "Traceback" not in err
+        assert list(out.glob("*")) == []
+        # the default alpha, given or not, keeps the hash gaussian configs had
+        cfg = json.loads(EXAMPLE.read_text())
+        for driver in ({"variant": "gaussian", "b": 1.0, "C": 1.0},
+                       {"variant": "gaussian", "b": 1.0, "C": 1.0, "alpha": 1}):
+            cfg["driver"] = driver
+            assert ExperimentConfig.from_dict(cfg).config_hash().startswith("b34453a260a9")
 
 
 class TestCumulantsCommand:

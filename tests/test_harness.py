@@ -26,6 +26,7 @@ from levyou import (
     run_validation,
     stationary_cumulants,
 )
+from levyou import harness
 from levyou.config import REPORT_SCHEMA
 from levyou.harness import _ks_distance, _pairwise_sum
 
@@ -340,6 +341,28 @@ class TestRunValidation:
         assert "cumulant_match" in failed
         assert not report.all_checks_passed()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interrupt_keeps_the_completed_horizons(self, gamma_ou, monkeypatch, workers):
+        params, driver = gamma_ou
+        cfg = ExperimentConfig(params=params, driver=driver, T_grid=(3.0, 6.0),
+                               p_orders=(2, 3), n_samples=10_000, seed=8,
+                               test_points=(0.0, 1.0), workers=workers)
+        full = run_validation(cfg)
+        draw = harness.sample_deviation
+
+        def interrupted_at_the_second_horizon(params, driver, T, rng, size):
+            if T == cfg.T_grid[1]:
+                raise KeyboardInterrupt
+            return draw(params, driver, T, rng, size=size)
+
+        monkeypatch.setattr(harness, "sample_deviation", interrupted_at_the_second_horizon)
+        report = run_validation(cfg)
+        assert report.partial and not full.partial
+        assert len(report.cells) == 4 and {c["T"] for c in report.cells} == {3.0}
+        assert [row["T"] for row in report.cumulants] == [3.0] * 4
+        assert report.cells == full.cells[:4]
+        assert report.cumulants == full.cumulants[:4]
+
     def test_degenerate_flag_propagates(self):
         cfg = ExperimentConfig.from_dict(base_config(
             params={"lam": 1.0, "gamma": 0.0, "beta": 1.0, "rho": -1.0}))
@@ -408,22 +431,31 @@ class TestMeanEstimatorDemo:
         assert res.summary["ks_order3"] <= res.summary["ks_normal"]
 
     @pytest.mark.parametrize("n", [100, 2**15 + 1, 100_000])
-    def test_bias_and_its_se_equal_the_whole_array_formulas(self, n):
+    def test_theta_hat_bias_and_its_se_are_the_rescaled_k_statistics(self, n):
+        # each theta-hat is theta0 + d / sqrt(T) for a draw d
         params = ModelParams(lam=1.0, gamma=0.0, beta=1.0, rho=0.0)
         driver = DriverSpec.cpexp(b=1.0, c=1.0, alpha=1.0)
-        cfg = ExperimentConfig(params=params, driver=driver, T_grid=(50.0,),
+        T = 50.0
+        cfg = ExperimentConfig(params=params, driver=driver, T_grid=(T,),
                                n_samples=n, seed=17, workers=1)
-        summary = mean_estimator_demo(cfg).summary
-        theta0 = cfg.kappa_f.get(1)
-        theta_hats = theta0 + draw_normalized_samples(params, driver, 50.0, n, 17) / math.sqrt(50.0)
-        assert summary["bias"] == float(theta_hats.mean()) - theta0
-        assert summary["bias_se"] == float(theta_hats.std(ddof=1) / math.sqrt(n))
+        res = mean_estimator_demo(cfg)
+        draws = draw_normalized_samples(params, driver, T, n, 17)
+        k1, k2 = k_statistics(draws, r_max=2).values
+        assert res.summary["bias"] == k1 / math.sqrt(T)
+        assert res.theta_hat == res.theta0 + k1 / math.sqrt(T)
+        assert res.summary["bias_se"] == math.sqrt(k2 / (T * n))
+        # the same estimators as the theta-hats' mean and std(ddof=1)/sqrt(n)
+        theta_hats = res.theta0 + draws / math.sqrt(T)
+        assert res.summary["bias"] == pytest.approx(theta_hats.mean() - res.theta0,
+                                                    rel=1e-12, abs=1e-15)
+        assert res.summary["bias_se"] == pytest.approx(theta_hats.std(ddof=1) / math.sqrt(n),
+                                                       rel=1e-12)
 
     def test_memory_holds_the_draws_and_a_block(self):
         # 100k draws: the draws with one run of jump buffers, then the draws
-        # and block-sized theta-hat, k-statistic and KS passes (the draws are
-        # sorted in place); whole-array theta-hats and std's deviations would
-        # add two more arrays of the draws' size
+        # and block-sized k-statistic and KS passes (the draws are sorted in
+        # place); whole-array theta-hats and their deviations would add two
+        # more arrays of the draws' size
         params = ModelParams(lam=1.0, gamma=0.0, beta=1.0, rho=0.0)
         driver = DriverSpec.cpexp(b=1.0, c=1.0, alpha=1.0)
 
