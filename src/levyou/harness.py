@@ -217,9 +217,10 @@ class MCReport:
 def run_validation(cfg: ExperimentConfig) -> MCReport:
     """Run the full experiment described by cfg; deterministic given the seed.
 
-    On KeyboardInterrupt the horizons completed so far are kept and the
-    report is marked partial.  Raises ValueError before drawing anything
-    when a chunk of any horizon expects more jumps than MAX_EXPECTED_JUMPS.
+    On KeyboardInterrupt the horizons completed so far are kept, with no
+    cell or cumulant row of the interrupted one, and the report is marked
+    partial.  Raises ValueError before drawing anything when a chunk of any
+    horizon expects more jumps than MAX_EXPECTED_JUMPS.
     """
     for T in cfg.T_grid:
         _check_jump_budget(cfg.driver, T, min(CHUNK, cfg.n_samples))
@@ -228,7 +229,6 @@ def run_validation(cfg: ExperimentConfig) -> MCReport:
     cells: list[dict] = []
     cumulant_rows: list[dict] = []
     partial = False
-    cum_fail: list[str] = []
     try:
         for t_idx, T in enumerate(cfg.T_grid):
             samples = draw_normalized_samples(cfg.params, cfg.driver, T,
@@ -237,30 +237,32 @@ def run_validation(cfg: ExperimentConfig) -> MCReport:
             table = cfg.table(T)
             ecs = {p: expansion_coefficients(p, table)
                    for p in set(cfg.p_orders) | {2}}
+            horizon_cells = []
             for a in cfg.test_points:
                 emp, se = estimate_indicator(samples, a)
                 psi2 = cdf(a, ecs[2])
                 informative = abs(emp - psi2) > 4.0 * se
                 for p in cfg.p_orders:
                     below = cdf(a, ecs[p])
-                    cells.append({
+                    horizon_cells.append({
                         "T": T, "a": a, "p": p,
                         "empirical": emp, "se": se,
                         "psi_p": below, "gap": abs(emp - below),
                         "informative": bool(informative),
                     })
             ks = k_statistics(samples, r_max=4)
-            for r in range(1, 5):
-                pred = 0.0 if r == 1 else table.get(r)
-                row = {"T": T, "r": r, "k_stat": float(ks.values[r - 1]),
-                       "se": float(ks.se[r - 1]), "predicted": pred}
-                cumulant_rows.append(row)
-                if r <= 3 and abs(row["k_stat"] - pred) > 5.0 * row["se"]:
-                    cum_fail.append(f"T={T} r={r}")
+            # an interrupted horizon leaves neither cells nor cumulant rows
+            cells += horizon_cells
+            cumulant_rows += [{"T": T, "r": r, "k_stat": float(ks.values[r - 1]),
+                               "se": float(ks.se[r - 1]),
+                               "predicted": 0.0 if r == 1 else table.get(r)}
+                              for r in range(1, 5)]
             # the next horizon's draws need not coexist with these
             del samples
     except KeyboardInterrupt:
         partial = True
+    cum_fail = [f"T={row['T']} r={row['r']}" for row in cumulant_rows
+                if row["r"] <= 3 and abs(row["k_stat"] - row["predicted"]) > 5.0 * row["se"]]
     checks = [
         {"name": "cumulant_match", "passed": not cum_fail,
          "detail": "k_r within 5 SE of prediction for r <= 3"

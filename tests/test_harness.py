@@ -342,20 +342,32 @@ class TestRunValidation:
         assert not report.all_checks_passed()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_interrupt_keeps_the_completed_horizons(self, gamma_ou, monkeypatch, workers):
+    @pytest.mark.parametrize("stage", ["draws", "k_statistics"])
+    def test_interrupt_keeps_the_completed_horizons(self, gamma_ou, monkeypatch, workers, stage):
+        # interrupted while drawing the second horizon, or after its cells
         params, driver = gamma_ou
         cfg = ExperimentConfig(params=params, driver=driver, T_grid=(3.0, 6.0),
                                p_orders=(2, 3), n_samples=10_000, seed=8,
                                test_points=(0.0, 1.0), workers=workers)
         full = run_validation(cfg)
-        draw = harness.sample_deviation
+        draw, kstats = harness.sample_deviation, harness.k_statistics
+        kstats_calls = []
 
-        def interrupted_at_the_second_horizon(params, driver, T, rng, size):
+        def draws_but_the_second_horizon(params, driver, T, rng, size):
             if T == cfg.T_grid[1]:
                 raise KeyboardInterrupt
             return draw(params, driver, T, rng, size=size)
 
-        monkeypatch.setattr(harness, "sample_deviation", interrupted_at_the_second_horizon)
+        def k_statistics_of_the_first_horizon(samples, r_max):
+            kstats_calls.append(r_max)
+            if len(kstats_calls) == 2:
+                raise KeyboardInterrupt
+            return kstats(samples, r_max=r_max)
+
+        if stage == "draws":
+            monkeypatch.setattr(harness, "sample_deviation", draws_but_the_second_horizon)
+        else:
+            monkeypatch.setattr(harness, "k_statistics", k_statistics_of_the_first_horizon)
         report = run_validation(cfg)
         assert report.partial and not full.partial
         assert len(report.cells) == 4 and {c["T"] for c in report.cells} == {3.0}
@@ -431,7 +443,7 @@ class TestMeanEstimatorDemo:
         assert res.summary["ks_order3"] <= res.summary["ks_normal"]
 
     @pytest.mark.parametrize("n", [100, 2**15 + 1, 100_000])
-    def test_theta_hat_bias_and_its_se_are_the_rescaled_k_statistics(self, n):
+    def test_theta_hat_fields_are_rescaled_k_statistics(self, n):
         # each theta-hat is theta0 + d / sqrt(T) for a draw d
         params = ModelParams(lam=1.0, gamma=0.0, beta=1.0, rho=0.0)
         driver = DriverSpec.cpexp(b=1.0, c=1.0, alpha=1.0)
