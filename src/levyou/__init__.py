@@ -9,7 +9,6 @@ from .cumulants import (
     CumulantVector,
     ModelParams,
     cumulant_table,
-    decay_power_mean,
     integrated_decay,
     kernel_weight_integral,
     normalized_cumulant,

@@ -14,10 +14,15 @@ OU process admits the kernel representation
     int_0^t X_s ds = k(t) X_0 + int_0^t k(t - s) dZ_s,
 
 with k(u) = (1 - exp(-lam*u)) / lam the integrated exponential decay.
+Every cumulant is then a closed form in the kernel-weight integrals
+W_r = int_0^T (rho + beta*k(v))**r dv: an exact finite sum for lam*T >= 2
+and 24-node Gauss-Legendre below, within ~1e-14 relative of 150-digit values
+for lam*T from 1e-8 to 1e5 and every r <= R_MAX.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -32,7 +37,6 @@ __all__ = [
     "CumulantVector",
     "CumulantTable",
     "integrated_decay",
-    "decay_power_mean",
     "stationary_cumulants",
     "kernel_weight_integral",
     "normalized_cumulant",
@@ -47,11 +51,6 @@ R_MAX = 12
 
 # Relative tolerance deciding when beta + rho*lam counts as zero.
 DEGENERACY_RTOL = 1e-12
-
-# Below this lam*T, decay_power_mean sums a positive-term series instead of
-# the closed form, whose two leading terms cancel there.  At lam*T = ln 2 the
-# series ratio is 1/2 and the closed form is still accurate to ~3e-12.
-_TAIL_CROSSOVER = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -163,45 +162,27 @@ def integrated_decay(lam: float, u):
     return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
 
 
-def decay_power_mean(r: int, j: int, lam: float, T: float) -> float:
-    """Time average (1/T) int_0^T integrated_decay(lam, v)**j dv, closed form.
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
-    Equals 1 for j = 0 and
-
-        lam**-j - T**-1 * lam**-(j+1) * sum_{k=1}^{j} (lam*k(T))**k / k
-
-    for j >= 1; tends to lam**-j as T grows.  The order r only bounds the
-    admissible j (the value itself does not depend on r).
-
-    For lam*T below ln 2 the two terms above cancel, so the value is taken
-    from the positive-term tail of -log(1 - x) = lam*T, x = lam*k(T):
-
-        T**-1 * lam**-(j+1) * sum_{m>j} x**m / m
-            = T**-1 * k(T)**(j+1) * sum_{n>=0} x**n / (n+j+1).
+    Five Newton steps on the Legendre recurrence from Tricomi's approximations
+    to the roots (four reach them to rounding), then the weights
+    2 / ((1 - x**2) P_n'(x)**2) at those nodes: within ~1e-14 relative of
+    40-digit values at n = 24 and n = 200.  The arrays are read-only, as the
+    cache hands them to every caller.
     """
-    if not isinstance(j, int) or not isinstance(r, int):
-        raise ValueError("r and j must be integers")
-    if r < 1 or not 0 <= j <= r:
-        raise ValueError(f"need 1 <= r and 0 <= j <= r, got r={r}, j={j}")
-    if lam <= 0 or T <= 0:
-        raise ValueError("lam and T must be positive")
-    if j == 0:
-        return 1.0
-    x = -math.expm1(-lam * T)  # lam * integrated_decay(lam, T), in [0, 1)
-    if lam * T < _TAIL_CROSSOVER:
-        s = 0.0
-        term = 1.0 / (j + 1)
-        n = 0
-        while term > 1e-17 * s:
-            s += term
-            n += 1
-            term = x ** n / (n + j + 1)
-        return (x / lam) ** (j + 1) * s / T
-    # Horner accumulation of sum_{k=1}^{j} x**k / k.
-    s = 0.0
-    for k in range(j, 0, -1):
-        s = x * (1.0 / k + s)
-    return lam ** (-j) - s / (T * lam ** (j + 1))
+    k = np.arange(1, n + 1)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(6):
+        p_prev, p = np.ones_like(x), x
+        for j in range(1, n):
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        dp = n * (p_prev - x * p) / (1.0 - x * x)
+        x, nodes = x - p / dp, x  # the sixth step only gives P_n' at the nodes
+    weights = 2.0 / ((1.0 - nodes * nodes) * dp * dp)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def stationary_cumulants(driver_cum: CumulantVector, lam: float) -> CumulantVector:
@@ -215,11 +196,25 @@ def stationary_cumulants(driver_cum: CumulantVector, lam: float) -> CumulantVect
 
 
 def kernel_weight_integral(r: int, params: ModelParams, T: float) -> float:
-    """int_0^T (rho + beta * integrated_decay(lam, v))**r dv, closed form.
+    """int_0^T (rho + beta * integrated_decay(lam, v))**r dv.
 
-    This is T times the binomial combination of decay_power_mean values; the
-    r = 1 and r = 2 cases are the drift and Gaussian-variance weights used by
-    the exact sampler.
+    The r = 1 and r = 2 cases are the drift and Gaussian-variance weights used
+    by the exact sampler.  With y = 1 - exp(-lam*v), B = beta/lam and
+    A = rho + B (the weight's limit) the integral is
+
+        (1/lam) int_0^{y_T} (rho + B*y)**r / (1 - y) dy,
+
+    and splitting A**r / (1 - y) off the integrand leaves the finite sum
+
+        A**r T - (1/lam) sum_{j=1}^{r} A**(r-j) (w_T**j - rho**j) / j,
+
+    w_T = rho + B*y_T the weight at T.  For lam*T >= 2 the sum is used; below
+    that its two terms cancel, and 24-node Gauss-Legendre on the integrand,
+    which is analytic well beyond [0, y_T], is used instead.  Either way the
+    value is within ~1e-14 of a 150-digit evaluation, relative to itself for
+    even r and, as an odd-order integral can vanish, to the same integral of
+    (|rho| + |beta| * integrated_decay(lam, v))**r for odd r.  OverflowError
+    when the value is beyond float range.
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"r must be a positive integer, got {r!r}")
@@ -227,11 +222,20 @@ def kernel_weight_integral(r: int, params: ModelParams, T: float) -> float:
         raise ValueError(f"r={r} exceeds supported maximum {R_MAX}")
     if T <= 0:
         raise ValueError("T must be positive")
-    lam, beta, rho = params.lam, params.beta, params.rho
-    total = 0.0
-    for j in range(r + 1):
-        total += math.comb(r, j) * rho ** (r - j) * beta ** j * decay_power_mean(r, j, lam, T)
-    return T * total
+    lam, rho, B = params.lam, params.rho, params.beta / params.lam
+    y_T = -math.expm1(-lam * T)
+    if lam * T >= 2.0:
+        A, w_T = rho + B, rho + B * y_T
+        total = A ** r * T - sum(A ** (r - j) * (w_T ** j - rho ** j) / j
+                                 for j in range(1, r + 1)) / lam
+    else:
+        x, w = gauss_legendre(24)
+        y = 0.5 * y_T * (1.0 + x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = 0.5 * y_T * float(np.dot(w, (rho + B * y) ** r / (1.0 - y))) / lam
+    if not math.isfinite(total):
+        raise OverflowError(f"kernel weight integral of order {r} at T={T!r} overflows")
+    return total
 
 
 def _check_order(r: int, kappa_f: CumulantVector) -> None:

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cumulants import R_MAX, CumulantTable
+from .cumulants import R_MAX, CumulantTable, gauss_legendre
 
 __all__ = [
     "ExpansionCoefficients",
@@ -297,7 +297,14 @@ def expect(f: TestFunction, ec: ExpansionCoefficients) -> float:
                      * np.expm1(-h * np.abs(a + b) / (2.0 * sigma)))
             side = np.where(a >= 0.0, 1.0, -1.0)  # erfc's small tail, not 2 - tail
             erfc_a, erfc_b = _erfc(side * np.stack((a, b)) / math.sqrt(2.0 * sigma)).astype(float)
-            d_norm = 0.5 * side * (erfc_a - erfc_b)
+            # an erfc difference keeps an ulp of erfc whatever h is, so a piece
+            # narrower than sqrt(sigma) takes h times the mean of phi over it
+            x, w = gauss_legendre(24)
+            narrow = h <= math.sqrt(sigma)
+            half = np.where(narrow, 0.5 * h, 0.0)
+            mid = np.where(narrow, 0.5 * (a + b), 0.0)
+            d_quad = half * (_gaussian_pdf(mid[:, None] + half[:, None] * x, sigma) @ w)
+            d_norm = np.where(narrow, d_quad, 0.5 * side * (erfc_a - erfc_b))
             live = pdf_far > 0.0  # elsewhere dS_2 may overflow; it is taken at a = h = 0
             d_s2 = sum(c * _hermite_step(deg - 2, a * live, h * live, sigma) for deg, c in ec.terms)
             j = (-sigma * d_pdf - a * d_norm - h * _hermite_sum(b, ec, 1, 0.0, pdf[1:])

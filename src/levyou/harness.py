@@ -368,8 +368,8 @@ def convergence_study(cfg: ExperimentConfig) -> ConvergenceStudy:
     identically zero, e.g. odd orders under a Gaussian driver).  The values
     come from `cfg.table`, so `chi_override` applies as in every other output.
     """
-    if len(cfg.T_grid) < 3:
-        raise ValueError("convergence study needs at least 3 horizons")
+    if len(set(cfg.T_grid)) < 3:
+        raise ValueError("convergence study needs at least 3 distinct horizons")
     tables = [cfg.table(T) for T in cfg.T_grid]
     rows: list[dict] = []
     slopes: dict[int, float | None] = {}

@@ -251,12 +251,15 @@ def test_jump_budget_is_checked_before_any_draw(subcommand, horizons, write_conf
 @pytest.mark.parametrize("subcommand, overrides", [
     ("cumulants", ["driver.alpha=1e-200"]),  # ZeroDivisionError
     ("cumulants", ["p_orders=[12]", "T_grid=[1e300]"]),  # OverflowError
-    ("cumulants", ["p_orders=[12]", "params.lam=1e-30", "T_grid=[1e40]"]),  # ZeroDivisionError
-    ("density", ["params.lam=1e300", "p_orders=[12]"]),  # OverflowError
+    ("cumulants", ["p_orders=[12]", "params.lam=1e-30", "T_grid=[1e40]"]),  # OverflowError
+    # a kernel weight integral beyond float range, which numpy would give as inf
+    ("cumulants", ["p_orders=[12]", "params.lam=1e-25", "T_grid=[1e40]"]),  # OverflowError
+    ("density", ["driver.alpha=1e-30", "p_orders=[12]"]),  # ZeroDivisionError
     # 8 PB of grid, beyond the address space, so the allocation fails at once
     ("density", ["density_grid.n=1000000000000000"]),  # MemoryError
     ("cumulants", None),  # --out names an existing file: FileExistsError
-], ids=["alpha-tiny", "T-huge", "lam-tiny", "lam-huge", "grid-huge", "out-is-file"])
+], ids=["alpha-tiny", "T-huge", "lam-tiny", "lam-tiny-weight-inf", "density-alpha-tiny",
+        "grid-huge", "out-is-file"])
 def test_schema_valid_extremes_exit_2(subcommand, overrides, tmp_path, capsys):
     out = tmp_path / "out"
     if overrides is None:
@@ -266,6 +269,17 @@ def test_schema_valid_extremes_exit_2(subcommand, overrides, tmp_path, capsys):
     assert run_cli(subcommand, EXAMPLE, out, *extra) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+def test_huge_lam_cumulants_equal_their_limits(tmp_path):
+    # at lam = 1e300 every horizon is far past the relaxation time, so each
+    # rescaled cumulant is its limit; no intermediate may overflow on the way
+    extra = ["--set", "params.lam=1e300", "--set", "p_orders=[12]", "--format", "json"]
+    assert run_cli("cumulants", EXAMPLE, tmp_path, *extra) == 0
+    rows = json.loads((tmp_path / "cumulants.json").read_text())["rows"]
+    assert {row["r"] for row in rows} == set(range(2, 13))
+    for row in rows:
+        assert abs(row["scaled"] - row["limit"]) <= 1e-12 * abs(row["limit"])
 
 
 @pytest.mark.parametrize("subcommand, override", [
@@ -486,6 +500,13 @@ class TestConvergeCommand:
     def test_too_few_horizons_is_config_error(self, write_config, tmp_path):
         assert run_cli("converge", write_config(base_config(T_grid=[1.0, 10.0])),
                        tmp_path) == 2
+
+    def test_repeated_horizons_are_config_error(self, write_config, tmp_path, capsys):
+        # one distinct horizon leaves the log-log slopes undetermined
+        assert run_cli("converge", write_config(base_config(T_grid=[5.0, 5.0, 5.0])),
+                       tmp_path) == 2
+        assert "3 distinct horizons" in capsys.readouterr().err
+        assert list(tmp_path.glob("converge*")) == []
 
 
 def test_set_override_reaches_nested_keys(write_config, tmp_path):

@@ -1,6 +1,7 @@
 """Closed-form engine against quadrature oracles and frozen constants."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from levyou import (
     ExperimentConfig,
     ModelParams,
     cumulant_table,
-    decay_power_mean,
     driver_cumulants,
     integrated_decay,
     kernel_weight_integral,
@@ -23,7 +23,7 @@ from levyou import (
     stationary_cumulants,
     wiener_nondegeneracy_det,
 )
-from levyou.cumulants import R_MAX
+from levyou.cumulants import R_MAX, gauss_legendre
 
 from conftest import random_stationary_cumulants
 
@@ -31,6 +31,22 @@ from conftest import random_stationary_cumulants
 def kernel_weight(lam, beta, rho, v):
     """Quadrature-side integrand (rho + beta * (1-exp(-lam*v))/lam)."""
     return rho + beta * (-math.expm1(-lam * v)) / lam
+
+
+def decimal_oracle(r, lam, beta, rho, T):
+    """(W, S, k_T) at 150 digits from the binomial closed form, where W is
+    int_0^T (rho + beta k(v))**r dv, S the same with |rho| and |beta| (a
+    scale that cannot cancel) and k_T = k(T), with
+    int_0^T k(v)**j dv = lam**-j (T - lam**-1 sum_{i<=j} (lam k(T))**i / i)."""
+    with localcontext() as ctx:
+        ctx.prec = 150
+        lam, beta, rho, T = map(Decimal, (lam, beta, rho, T))
+        y = 1 - (-lam * T).exp()
+        powers = [T] + [(T - sum(y ** i / i for i in range(1, j + 1)) / lam) / lam ** j
+                        for j in range(1, r + 1)]
+        terms = [(math.comb(r, j) * beta ** j * powers[j], rho ** (r - j) if j < r else 1)
+                 for j in range(r + 1)]  # Decimal 0 ** 0 is an invalid operation
+        return (sum(c * f for c, f in terms), sum(abs(c * f) for c, f in terms), y / lam)
 
 
 class TestModelParams:
@@ -77,39 +93,55 @@ class TestIntegratedDecay:
             integrated_decay(1.0, -0.1)
 
 
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [1, 2, 5, 24, 200])
+    def test_integrates_polynomials_below_degree_2n(self, n):
+        x, w = gauss_legendre(n)
+        assert not x.flags.writeable and not w.flags.writeable
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(np.dot(w, x ** k) - exact) <= 1e-14 * 2.0 / (k + 1)
+
+
 class TestDecayPowerMean:
+    """Time averages (1/T) int_0^T integrated_decay(lam, v)**j dv, which are
+    kernel_weight_integral(j, ...) / T at rho = 0, beta = 1."""
+
+    @staticmethod
+    def mean(j, lam, T):
+        return kernel_weight_integral(j, ModelParams(lam=lam, gamma=0.0, beta=1.0, rho=0.0), T) / T
+
     def test_zeroth_power_is_one(self):
-        assert decay_power_mean(4, 0, 0.7, 3.0) == 1.0
+        # a negligible beta leaves the constant weight rho = 1, whose powers
+        # all average to 1
+        p = ModelParams(lam=0.7, gamma=0.0, beta=1e-300, rho=1.0)
+        for r in (1, 4, R_MAX):
+            assert kernel_weight_integral(r, p, 3.0) == 3.0
 
     def test_long_horizon_limit(self):
         # tends to lam**-j
-        assert abs(decay_power_mean(2, 1, 1.0, 1e3) - 1.0) < 1e-2
-        assert abs(decay_power_mean(2, 1, 1.0, 1e6) - 1.0) < 1e-5
+        assert abs(self.mean(1, 1.0, 1e3) - 1.0) < 1e-2
+        assert abs(self.mean(1, 1.0, 1e6) - 1.0) < 1e-5
 
     def test_quadrature_oracle(self):
         # must equal the time average of the kernel power
-        got = decay_power_mean(2, 1, 1.0, 2.0)
+        got = self.mean(1, 1.0, 2.0)
         oracle, _ = quad(lambda v: integrated_decay(1.0, v), 0, 2,
                          epsabs=1e-13, epsrel=1e-12)
         assert abs(got - oracle / 2.0) / abs(oracle / 2.0) < 1e-10
         assert got == pytest.approx(0.5676676416183063, abs=1e-14)
 
-    @pytest.mark.parametrize("lam,T", [(0.5, 3.0), (1.3, 20.0), (2.0, 800.0)])
-    def test_independent_of_order_argument(self, lam, T):
-        assert decay_power_mean(2, 1, lam, T) == decay_power_mean(6, 1, lam, T)
-        assert decay_power_mean(3, 2, lam, T) == decay_power_mean(8, 2, lam, T)
-
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(log_lam=st.floats(-3.0, 3.0), log_lam_t=st.floats(-8.0, 3.0),
            j=st.integers(1, 12))
     def test_quadrature_oracle_whole_domain(self, log_lam, log_lam_t, j):
-        # lam*T in [1e-8, 1e3] spans both sides of the series crossover
+        # lam*T in [1e-8, 1e3] spans both sides of the lam*T = 2 split
         lam = 10.0 ** log_lam
         T = 10.0 ** log_lam_t / lam
         oracle, _ = quad(lambda v: integrated_decay(lam, v) ** j, 0.0, T,
                          epsabs=0.0, epsrel=1e-13, limit=200)
         oracle /= T
-        got = decay_power_mean(R_MAX, j, lam, T)
+        got = self.mean(j, lam, T)
         assert got > 0.0
         assert abs(got - oracle) <= 1e-10 * oracle
 
@@ -119,14 +151,6 @@ class TestDecayPowerMean:
         params = ModelParams(lam=1.0, gamma=0.0, beta=1.0, rho=0.0)
         kf = CumulantVector(CumulantKind.STATIONARY, (1.0,) * 6)
         assert normalized_cumulant(6, params, kf, 1e-3) > 0.0
-
-    def test_index_errors(self):
-        with pytest.raises(ValueError):
-            decay_power_mean(2, 3, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            decay_power_mean(2, -1, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            decay_power_mean(0, 0, 1.0, 1.0)
 
 
 class TestStationaryCumulants:
@@ -184,6 +208,39 @@ class TestKernelWeightIntegral:
                                  0, T, epsabs=1e-13, epsrel=1e-13, limit=300)
                 got = kernel_weight_integral(r, p, T)
                 assert abs(got - oracle) / abs(oracle) < 1e-10
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(log_lam=st.floats(-3.0, 3.0), log_lam_t=st.floats(-8.0, 5.0),
+           log_gap=st.floats(-8.0, 0.3), gap_sign=st.sampled_from([-1.0, 1.0]),
+           log_beta=st.floats(-1.0, 1.0), beta_sign=st.sampled_from([-1.0, 1.0]),
+           r=st.integers(1, R_MAX))
+    def test_decimal_oracle_whole_domain(self, log_lam, log_lam_t, log_gap, gap_sign,
+                                         log_beta, beta_sign, r):
+        # lam*T in [1e-8, 1e5] on both sides of the lam*T = 2 split, and
+        # beta + rho*lam down to 1e-8 of either sign, so the weight
+        # rho + beta k(v) changes sign on [0, T] whenever the gap has beta's
+        # sign.  An odd-order integral can vanish, so its error is measured
+        # against S = int (|rho| + |beta| k)**r.
+        lam = 10.0 ** log_lam
+        T = 10.0 ** log_lam_t / lam
+        beta = beta_sign * 10.0 ** log_beta
+        rho = (gap_sign * 10.0 ** log_gap - beta) / lam
+        params = ModelParams(lam=lam, gamma=0.0, beta=beta, rho=rho)
+        w, s, k_T = decimal_oracle(r, lam, beta, rho, T)
+        scale = abs(w) if r % 2 == 0 else s
+        got = kernel_weight_integral(r, params, T)
+        assert abs(Decimal(got) - w) <= Decimal(1e-12) * scale
+        if r == 1:
+            return
+        kf = CumulantVector(CumulantKind.STATIONARY, (1.0,) * R_MAX)
+        with localcontext() as ctx:
+            ctx.prec = 150
+            factor = Decimal(T) ** (Decimal(2 - r) / 2) / Decimal(T)
+            bk = Decimal(beta) * k_T
+            exact = factor * (bk ** r + Decimal(lam) * r * w)
+            scale = factor * (abs(bk) ** r + Decimal(lam) * r * s)
+        got = normalized_cumulant(r, params, kf, T)
+        assert abs(Decimal(got) - exact) <= Decimal(1e-10) * (abs(exact) if r % 2 == 0 else scale)
 
 
 class TestNormalizedCumulant:

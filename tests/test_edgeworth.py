@@ -351,11 +351,12 @@ class TestExpect:
         got = expect(TestFunction.tabulated(ys, vals), ec)
         assert abs(got - per_piece_quad(ys, vals, ec)) < (1e-10 if p <= 8 else 1e-9)
 
-    @pytest.mark.parametrize("a", [-1.0, 1.0, 5.0])
+    @pytest.mark.parametrize("a", [-2.0, -1.0, 1.0, 2.0, 5.0])
     def test_tabulated_steep_piece(self, a, gamma_ou):
         # a ramp 1e-6 wide has slope 1e6 while int (y - a) g_p over it is
         # ~1e-13, so differencing the antiderivatives at its ends would be
-        # ~1e-7 off at p = 12, T = 2
+        # ~1e-7 off at p = 12, T = 2, and a normal mass taken as an erfc
+        # difference ~6e-11 off at a = +-2
         ec = gamma_ou_expansion(gamma_ou, 12, 2.0)
         ys, vals = [a - 2.0, a, a + 1e-6, a + 2.0], [0.0, 0.0, 1.0, 1.0]
         got = expect(TestFunction.tabulated(ys, vals), ec)
