@@ -21,7 +21,6 @@ from .edgeworth import (
     NonPositiveVarianceError,
     TestFunction,
     cdf,
-    charfn_consistency,
     density,
     expansion_coefficients,
     expect,

@@ -88,10 +88,15 @@ def cmd_cumulants(ecfg: ExperimentConfig, args) -> int:
         table = ecfg.table(T)
         for r in range(2, table.order + 1):
             value = table.get(r)
+            try:
+                scaled = T ** ((r - 2) / 2.0) * value
+            except OverflowError:
+                raise OverflowError(f"scaled cumulant of order {r} at T={T!r} "
+                                    "is beyond float range") from None
             rows.append({
                 "T": T, "r": r,
                 "cumulant": value,
-                "scaled": T ** ((r - 2) / 2.0) * value,
+                "scaled": scaled,
                 "limit": normalized_cumulant_limit(r, ecfg.params, ecfg.kappa_f),
             })
     _write_rows(rows, ["T", "r", "cumulant", "scaled", "limit"],

@@ -23,6 +23,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .cumulants import (
+    R_MAX,
     CumulantTable,
     CumulantVector,
     ModelParams,
@@ -72,7 +73,7 @@ CONFIG_SCHEMA = {
         "p_orders": {
             "type": "array",
             "minItems": 1,
-            "items": {"type": "integer", "minimum": 2, "maximum": 12},
+            "items": {"type": "integer", "minimum": 2, "maximum": R_MAX},
         },
         "n_samples": {"type": "integer", "minimum": 100},
         "seed": {"type": "integer", "minimum": 0},
@@ -99,7 +100,7 @@ CONFIG_SCHEMA = {
         "moments": {"type": "array", "items": {"type": "integer", "minimum": 0}},
         "chi_override": {
             "type": "object",
-            "propertyNames": {"pattern": "^([2-9]|1[0-2])$"},
+            "propertyNames": {"pattern": f"^({'|'.join(str(r) for r in range(2, R_MAX + 1))})$"},
             "additionalProperties": {"type": "number"},
         },
     },

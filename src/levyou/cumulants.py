@@ -45,8 +45,9 @@ __all__ = [
     "wiener_nondegeneracy_det",
 ]
 
-# Highest cumulant order supported.  Binomial coefficients and the
-# composition counts of the expansion stay exactly representable up to here.
+# Highest cumulant order supported: the orders that the `decimal` oracle test
+# of kernel_weight_integral covers.  CONFIG_SCHEMA's p_orders maximum and
+# chi_override keys are derived from it.
 R_MAX = 12
 
 # Relative tolerance deciding when beta + rho*lam counts as zero.

@@ -9,6 +9,12 @@ are composition sums over the higher normalized cumulants:
                prod_i kappa_{k_i+2} / ( l! * prod_i (k_i+2)! )
                * h_{k+2l}(y; sigma) } * phi(y; sigma)
 
+The inner sum over the compositions of k is e_k, the order-k part of the
+exponential of the cumulant series sum_j r_j x^{j+2} with
+r_j = kappa_{j+2} / (j+2)!, where x^d stands for h_d.  expansion_coefficients
+builds the e_k by Miller's power-series recurrence (Knuth, TAOCP vol. 2,
+section 4.7) rather than by enumerating the compositions.
+
 g_p integrates to one but may dip negative in the tails: it is the density
 of a signed measure, and expectations against it are exact in closed form
 for indicators, polynomials and piecewise-linear tabulated functions.
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +40,6 @@ __all__ = [
     "cdf",
     "expect",
     "hermite_moment",
-    "charfn_consistency",
     "negative_density_report",
 ]
 
@@ -58,8 +63,8 @@ class GrowthBoundError(ValueError):
 class ExpansionCoefficients:
     """Assembled coefficients of the order-p expansion.
 
-    `terms` maps Hermite degree k+2l to the aggregated composition-sum
-    coefficient; p = 2 means the plain normal (no terms).
+    `terms` maps Hermite degree d to the coefficient of x^d summed over
+    e_1, ..., e_{p-2}; p = 2 means the plain normal (no terms).
     """
 
     p: int
@@ -135,21 +140,13 @@ def _hermite_step(r: int, y: np.ndarray, dy: np.ndarray, sigma: float) -> np.nda
     return d
 
 
-def _compositions(k: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of positive integers summing to k."""
-    if k == 0:
-        yield ()
-        return
-    for first in range(1, k + 1):
-        for rest in _compositions(k - first):
-            yield (first,) + rest
-
-
 def expansion_coefficients(p: int, table: CumulantTable) -> ExpansionCoefficients:
     """Aggregate the composition sums of the order-p expansion by Hermite degree.
 
-    Enumerates every ordered composition (k_1,...,k_l) of each k <= p-2 and
-    accumulates prod_i kappa_{k_i+2} / (l! * prod_i (k_i+2)!) at degree k+2l.
+    Miller's recurrence gives the order-k parts of exp(sum_j r_j x^{j+2}),
+    r_j = kappa_{j+2} / (j+2)!, as polynomials in x: e_0 = 1 and
+    e_k = (1/k) sum_{j=1}^{k} j r_j x^{j+2} e_{k-j}.  The coefficient of x^d
+    in e_k, k = 1..p-2, is added to the term of Hermite degree d.
     """
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"p must be an integer >= 2, got {p!r}")
@@ -158,14 +155,16 @@ def expansion_coefficients(p: int, table: CumulantTable) -> ExpansionCoefficient
     if table.order < p:
         raise ValueError(f"cumulant table covers orders 2..{table.order}, need {p}")
     sigma = table.get(2)
+    r = {j: table.get(j + 2) / math.factorial(j + 2) for j in range(1, p - 1)}
+    e: list[dict[int, float]] = [{0: 1.0}]  # e[k] maps the degree of x to its coefficient
     by_degree: dict[int, float] = {}
     for k in range(1, p - 1):
-        for comp in _compositions(k):
-            l = len(comp)
-            coeff = 1.0 / math.factorial(l)
-            for ki in comp:
-                coeff *= table.get(ki + 2) / math.factorial(ki + 2)
-            deg = k + 2 * l
+        e_k: dict[int, float] = {}
+        for j in range(1, k + 1):
+            for deg, coeff in e[k - j].items():
+                e_k[deg + j + 2] = e_k.get(deg + j + 2, 0.0) + j * r[j] * coeff
+        e.append({deg: total / k for deg, total in e_k.items()})
+        for deg, coeff in e[k].items():
             by_degree[deg] = by_degree.get(deg, 0.0) + coeff
     terms = tuple(sorted(by_degree.items()))
     return ExpansionCoefficients(p=p, sigma=sigma, terms=terms)
@@ -312,46 +311,6 @@ def expect(f: TestFunction, ec: ExpansionCoefficients) -> float:
             slope_terms = np.where(m == 0.0, 0.0, m * j)
         return float(np.sum(vals[:-1] * np.diff(cdf(ys, ec)) + slope_terms))
     raise ValueError(f"unknown test-function kind {f.kind!r}")
-
-
-def charfn_consistency(p: int, table: CumulantTable, u: float) -> tuple[complex, float]:
-    """Fourier-side self-check of the expansion coefficients.
-
-    Computes (a) the analytic Fourier transform of g_p,
-    exp(-sigma u^2/2) * (1 + sum coeff * (iu)^degree), and (b) the truncated
-    exponential of the cumulant series expanded by power-series arithmetic in
-    the formal parameter T^{-1/2} through order p-2.  Both are the same
-    object; the returned residual is the modulus of their difference and is
-    limited only by floating-point rounding.
-    """
-    sigma = table.get(2)
-    if abs(u) > 50.0 / math.sqrt(sigma):
-        raise ValueError("u outside supported window |u| <= 50/sqrt(sigma)")
-    ec = expansion_coefficients(p, table)
-    iu = 1j * u
-    base = complex(np.exp(-0.5 * sigma * u * u))
-    value = base * (1.0 + sum(coeff * iu ** deg for deg, coeff in ec.terms))
-
-    # Truncated power series in eps = T^{-1/2}: the order-r cumulant carries
-    # eps^{r-2}, so R(eps) = sum_{k=1}^{p-2} c_{k+2} (iu)^{k+2}/(k+2)! eps^k
-    # with c_r the T-rescaled cumulant.  exp(R) is expanded via its own
-    # series, independent of the composition enumeration above.
-    n = p - 1  # polynomial length: degrees 0..p-2
-    sqrt_t = math.sqrt(table.T)
-    r_poly = np.zeros(n, dtype=complex)
-    for k in range(1, p - 1):
-        c_r = table.get(k + 2) * sqrt_t ** k
-        r_poly[k] = c_r * iu ** (k + 2) / math.factorial(k + 2)
-    series = np.zeros(n, dtype=complex)
-    series[0] = 1.0
-    power = np.zeros(n, dtype=complex)
-    power[0] = 1.0
-    for m in range(1, n):
-        power = np.convolve(power, r_poly)[:n]
-        series = series + power / math.factorial(m)
-    eps = 1.0 / sqrt_t
-    series_val = base * complex(sum(series[k] * eps ** k for k in range(n)))
-    return value, abs(value - series_val)
 
 
 def negative_density_report(ec: ExpansionCoefficients) -> tuple[float, float]:

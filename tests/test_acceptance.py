@@ -17,7 +17,6 @@ from levyou import (
     DriverSpec,
     ExperimentConfig,
     ModelParams,
-    charfn_consistency,
     cumulant_table,
     density,
     driver_cumulants,
@@ -36,7 +35,7 @@ from levyou import (
 from levyou.cli import main as cli_main
 from levyou.cumulants import CumulantKind, CumulantVector
 
-from test_edgeworth import brute_force_terms, fd_stencil, gaussian_pdf
+from test_edgeworth import brute_force_terms, charfn_series_residual, fd_stencil, gaussian_pdf
 
 KS_LEVEL = 0.001
 
@@ -140,7 +139,7 @@ def test_05_fourier_series_oracle():
         table = CumulantTable(T=rng.uniform(1.0, 100.0), values=values)
         for p in (3, 4, 5):
             for u in grid:
-                _, residual = charfn_consistency(p, table, float(u))
+                _, residual = charfn_series_residual(p, table, float(u))
                 worst = max(worst, residual)
     assert worst < 1e-12
     _ok(5, "fourier series oracle", f"max residual {worst:.2e}")

@@ -248,19 +248,19 @@ def test_jump_budget_is_checked_before_any_draw(subcommand, horizons, write_conf
     assert draws == []
 
 
-@pytest.mark.parametrize("subcommand, overrides", [
-    ("cumulants", ["driver.alpha=1e-200"]),  # ZeroDivisionError
-    ("cumulants", ["p_orders=[12]", "T_grid=[1e300]"]),  # OverflowError
-    ("cumulants", ["p_orders=[12]", "params.lam=1e-30", "T_grid=[1e40]"]),  # OverflowError
+@pytest.mark.parametrize("subcommand, overrides, names", [
+    ("cumulants", ["driver.alpha=1e-200"], None),  # ZeroDivisionError
+    ("cumulants", ["p_orders=[12]", "T_grid=[1e300]"], "scaled"),  # OverflowError
+    ("cumulants", ["p_orders=[12]", "params.lam=1e-30", "T_grid=[1e40]"], None),  # OverflowError
     # a kernel weight integral beyond float range, which numpy would give as inf
-    ("cumulants", ["p_orders=[12]", "params.lam=1e-25", "T_grid=[1e40]"]),  # OverflowError
-    ("density", ["driver.alpha=1e-30", "p_orders=[12]"]),  # ZeroDivisionError
+    ("cumulants", ["p_orders=[12]", "params.lam=1e-25", "T_grid=[1e40]"], None),  # OverflowError
+    ("density", ["driver.alpha=1e-30", "p_orders=[12]"], None),  # ZeroDivisionError
     # 8 PB of grid, beyond the address space, so the allocation fails at once
-    ("density", ["density_grid.n=1000000000000000"]),  # MemoryError
-    ("cumulants", None),  # --out names an existing file: FileExistsError
+    ("density", ["density_grid.n=1000000000000000"], None),  # MemoryError
+    ("cumulants", None, None),  # --out names an existing file: FileExistsError
 ], ids=["alpha-tiny", "T-huge", "lam-tiny", "lam-tiny-weight-inf", "density-alpha-tiny",
         "grid-huge", "out-is-file"])
-def test_schema_valid_extremes_exit_2(subcommand, overrides, tmp_path, capsys):
+def test_schema_valid_extremes_exit_2(subcommand, overrides, names, tmp_path, capsys):
     out = tmp_path / "out"
     if overrides is None:
         out.write_text("")
@@ -269,6 +269,8 @@ def test_schema_valid_extremes_exit_2(subcommand, overrides, tmp_path, capsys):
     assert run_cli(subcommand, EXAMPLE, out, *extra) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+    if names is not None:  # the message names the quantity that overflowed
+        assert names in err, err
 
 
 def test_huge_lam_cumulants_equal_their_limits(tmp_path):

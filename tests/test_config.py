@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from levyou import ExperimentConfig
 from levyou.config import _KEYWORDS, CONFIG_SCHEMA, ConfigError, validate_config
+from levyou.cumulants import R_MAX
 
 EXAMPLE = json.loads(
     (Path(__file__).resolve().parents[1] / "docs" / "example_gamma_ou.json").read_text())
@@ -149,6 +150,18 @@ def test_example_is_accepted():
 ], ids=lambda m: repr(m)[:60])
 def test_named_cases_agree_with_jsonschema(mutations):
     assert_agrees_with_oracle(mutated(mutations))
+
+
+def test_order_cap_follows_r_max():
+    # p_orders and the chi_override keys take exactly the orders 2..R_MAX
+    accepted = [("p_orders", [R_MAX])] + [("chi_override", {str(r): 1.0})
+                                          for r in range(2, R_MAX + 1)]
+    refused = [("p_orders", [R_MAX + 1]), ("chi_override", {str(R_MAX + 1): 1.0}),
+               ("chi_override", {"1": 1.0}), ("chi_override", {"02": 1.0})]
+    for key, value in accepted + refused:
+        cfg = mutated([((key,), value, False)])
+        assert_agrees_with_oracle(cfg)
+        assert (violation_path(cfg) is None) == ((key, value) in accepted)
 
 
 @settings(derandomize=True, max_examples=600, deadline=None)

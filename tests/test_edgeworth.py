@@ -1,10 +1,10 @@
 """Expansion machinery against brute-force enumeration and quadrature oracles."""
 
-import itertools
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +13,13 @@ from numpy.polynomial.hermite_e import hermeval
 from scipy.integrate import quad
 
 from levyou import (
+    CumulantKind,
     CumulantTable,
+    CumulantVector,
     ExpansionCoefficients,
+    ModelParams,
     TestFunction,
     cdf,
-    charfn_consistency,
     cumulant_table,
     density,
     driver_cumulants,
@@ -47,19 +49,72 @@ def fd_stencil(r):
 
 
 def brute_force_terms(p, table):
-    """Independent composition enumerator via itertools.product filtering."""
+    """Reference coefficients by Hermite degree: every ordered composition
+    (k_1,...,k_l) of each k <= p-2, enumerated recursively, adds
+    prod_i kappa_{k_i+2} / (l! * prod_i (k_i+2)!) at degree k+2l.  The sums
+    are exact Fractions, rounded to float once at the end."""
+    weight = {k: Fraction(table.get(k + 2)) / math.factorial(k + 2) for k in range(1, p - 1)}
     by_degree = {}
+
+    def extend(k, l, prod):
+        # prod is the product of the weights of a composition of k into l parts
+        if l:
+            by_degree[k + 2 * l] = by_degree.get(k + 2 * l, 0) + prod / math.factorial(l)
+        for part in range(1, p - 1 - k):
+            extend(k + part, l + 1, prod * weight[part])
+
+    extend(0, 0, Fraction(1))
+    return {deg: float(coeff) for deg, coeff in by_degree.items()}
+
+
+def charfn_series_residual(p, table, u):
+    """Fourier-side check of the expansion coefficients at frequency u.
+
+    Returns (a) the Fourier transform of g_p,
+    exp(-sigma u^2/2) * (1 + sum coeff * (iu)^degree), and (b) the modulus of
+    its difference from the truncated exponential of the cumulant series,
+    expanded by power-series arithmetic (numpy convolutions) in the formal
+    parameter eps = T^{-1/2} through order p-2: a second algorithm for the
+    same object.
+    """
+    sigma = table.get(2)
+    ec = expansion_coefficients(p, table)
+    iu = 1j * u
+    base = complex(np.exp(-0.5 * sigma * u * u))
+    value = base * (1.0 + sum(coeff * iu ** deg for deg, coeff in ec.terms))
+
+    # The order-r cumulant carries eps^{r-2}, so
+    # R(eps) = sum_{k=1}^{p-2} c_{k+2} (iu)^{k+2}/(k+2)! eps^k with c_r the
+    # T-rescaled cumulant, and exp(R) = sum_m R^m / m!.
+    n = p - 1  # polynomial length: degrees 0..p-2
+    sqrt_t = math.sqrt(table.T)
+    r_poly = np.zeros(n, dtype=complex)
     for k in range(1, p - 1):
-        for l in range(1, k + 1):
-            for comp in itertools.product(range(1, k + 1), repeat=l):
-                if sum(comp) != k:
-                    continue
-                coeff = 1.0 / math.factorial(l)
-                for ki in comp:
-                    coeff *= table.get(ki + 2) / math.factorial(ki + 2)
-                deg = k + 2 * l
-                by_degree[deg] = by_degree.get(deg, 0.0) + coeff
-    return by_degree
+        c_r = table.get(k + 2) * sqrt_t ** k
+        r_poly[k] = c_r * iu ** (k + 2) / math.factorial(k + 2)
+    series = np.zeros(n, dtype=complex)
+    series[0] = 1.0
+    power = np.zeros(n, dtype=complex)
+    power[0] = 1.0
+    for m in range(1, n):
+        power = np.convolve(power, r_poly)[:n]
+        series = series + power / math.factorial(m)
+    eps = 1.0 / sqrt_t
+    series_val = base * complex(sum(series[k] * eps ** k for k in range(n)))
+    return value, abs(value - series_val)
+
+
+def acceptance_01_table(seed, T):
+    """An order-12 cumulant table of a model drawn as acceptance 01 draws
+    them: lam, beta and rho of one sign, random stationary cumulants."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.3, 2.5)
+    sign = rng.choice([-1.0, 1.0])
+    params = ModelParams(lam=lam, gamma=0.0, beta=sign * rng.uniform(0.3, 2.0),
+                         rho=sign * rng.uniform(0.0, 1.5))
+    kappa_f = CumulantVector(CumulantKind.STATIONARY,
+                             tuple(rng.uniform(0.2, 3.0) for _ in range(12)))
+    return cumulant_table(12, params, kappa_f, T)
 
 
 class TestHermite:
@@ -134,26 +189,28 @@ class TestExpansionCoefficients:
         ec = expansion_coefficients(4, table)
         terms = dict(ec.terms)
         assert set(terms) == {3, 4, 6}
-        assert terms[3] == pytest.approx(chi3 / 6.0, rel=1e-15)
-        assert terms[4] == pytest.approx(chi4 / 24.0, rel=1e-15)
-        # composition (1,1): chi3^2 / (2! * 3! * 3!) = chi3^2 / 72
-        assert terms[6] == pytest.approx(chi3 ** 2 / 72.0, rel=1e-15)
+        assert terms[3] == chi3 / 6.0
+        assert terms[4] == chi4 / 24.0
+        # composition (1,1): chi3^2 / (2! * 3! * 3!), rounded as (chi3/3!)^2 / 2
+        assert terms[6] == (chi3 / 6.0) * (chi3 / 6.0) / 2.0
 
     def test_zero_higher_cumulants_give_plain_normal(self):
         table = CumulantTable(T=4.0, values=(2.0, 0.0, 0.0, 0.0))
         ec = expansion_coefficients(5, table)
         assert all(c == 0.0 for _, c in ec.terms)
 
-    @pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("p", range(3, 13))
     def test_matches_brute_force_enumerator(self, p, rng):
         values = tuple(rng.uniform(-2.0, 2.0) for _ in range(p - 1))
         values = (abs(values[0]) + 0.5,) + values[1:]
-        table = CumulantTable(T=9.0, values=values)
-        got = dict(expansion_coefficients(p, table).terms)
-        want = brute_force_terms(p, table)
-        assert set(got) == set(want)
-        for deg in want:
-            assert got[deg] == pytest.approx(want[deg], rel=1e-13, abs=1e-15)
+        tables = [CumulantTable(T=9.0, values=values)]
+        tables += [acceptance_01_table(seed, T) for seed in (101, 102, 103) for T in (0.5, 5.0, 50.0)]
+        for table in tables:
+            got = dict(expansion_coefficients(p, table).terms)
+            want = brute_force_terms(p, table)
+            assert set(got) == set(want)
+            for deg in want:
+                assert got[deg] == pytest.approx(want[deg], rel=1e-13, abs=1e-15)
 
     def test_terms_start_at_degree_three(self):
         with pytest.raises(ValueError, match="degrees"):
@@ -401,9 +458,9 @@ class TestExpect:
 
 
 class TestCharfnConsistency:
-    def test_at_origin(self, skewed_ec):
+    def test_at_origin(self):
         table = CumulantTable(T=10.0, values=(1.8, 1.1, 0.7))
-        value, residual = charfn_consistency(4, table, 0.0)
+        value, residual = charfn_series_residual(4, table, 0.0)
         assert value == 1.0 + 0.0j
         assert residual == 0.0
 
@@ -411,13 +468,8 @@ class TestCharfnConsistency:
     def test_residual_tiny_on_grid(self, p):
         table = CumulantTable(T=12.0, values=(1.4, -0.8, 1.9, -0.5))
         for u in np.linspace(-10.0, 10.0, 101):
-            _, residual = charfn_consistency(p, table, float(u))
+            _, residual = charfn_series_residual(p, table, float(u))
             assert residual < 1e-12
-
-    def test_window_enforced(self):
-        table = CumulantTable(T=12.0, values=(1.4,))
-        with pytest.raises(ValueError):
-            charfn_consistency(2, table, 100.0)
 
 
 def test_fourier_identity_of_hermite_terms(rng):
