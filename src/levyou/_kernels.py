@@ -4,10 +4,17 @@ Each kernel has exactly one implementation.  A segment sum over jumps is
 one `np.add.reduceat` over the segment's own jumps (empty segments are
 zero), so each segment's sum depends only on its own jumps: it carries no
 rounding from the segments before it, and it is the same bits whichever
-block of segments it is computed in.  `segment_weighted_sums` builds the
-jump weights in its `tau` argument's own memory, overwriting the arrival
-times, so a call allocates no jump-sized array; `jump_step_sums` likewise
-overwrites its `jt` and allocates one jump-sized product buffer.
+block of segments it is computed in.
+
+The jump kernels take each jump as the two doubles `_jump_runs` draws: a
+uniform u, whose span*u has the law of the time from the jump to the end of
+its span (the horizon, or the end of a path step), and l = log(1 - v) for a
+second uniform v, so -l/alpha is an Exp(alpha) size.  They fold span, alpha
+and the model's constants into one multiplier per pass.
+`segment_weighted_sums` builds the weighted terms in its `tau` argument's
+own memory, overwriting the uniforms, so a call allocates no jump-sized
+array; `jump_step_sums` likewise overwrites its `jt` and `js` and allocates
+one jump-sized product buffer.
 
 The per-step X update of the path sampler is affine with one constant
 factor, x' = q*x + c_k, so X is a doubling scan: ceil(log2 n) whole-array
@@ -47,34 +54,40 @@ def _segment_sums(values, offsets):
 
 
 # --- jump-part weighted segment sums -------------------------------------
-# out[i] = sum_j (rho + beta*(1-exp(-lam*(T-tau[j])))/lam) * sizes[j]
-# over the slice offsets[i]:offsets[i+1].
+# out[i] = sum_j (rho + beta*(1-exp(-lam*s_j))/lam) * y_j over the slice
+# offsets[i]:offsets[i+1], for jumps at time s_j = T*tau[j] before the
+# horizon with sizes y_j = -sizes[j]/alpha (sizes[j] = log(1 - v) for a
+# uniform v).  With the constants folded, each term is
+#   (exp(tau*(-lam*T)) * beta/(lam*alpha) - (rho + beta/lam)/alpha) * sizes:
+# four passes besides exp and no division.  A term's absolute error is a few
+# ulp of (|rho + beta/lam| + |beta|/lam)/alpha times |sizes|, and in the
+# degenerate case rho + beta/lam = 0 the subtraction is exact.
 
-def segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T):
-    """The sums above.  tau is overwritten by the weights (times the sizes)."""
-    # the formula above, operation by operation, in tau's memory
-    w = np.subtract(T, tau, out=tau)
-    w *= -lam
-    np.expm1(w, out=w)
-    w *= -beta
-    w /= lam
-    w += rho
+def segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T, alpha):
+    """The sums above.  tau is overwritten by the terms."""
+    # the folded formula above, operation by operation, in tau's memory
+    w = np.multiply(tau, -lam * T, out=tau)
+    np.exp(w, out=w)
+    w *= beta / (lam * alpha)
+    w -= (rho + beta / lam) / alpha
     w *= sizes
     return _segment_sums(w, offsets)
 
 
 # --- per-step jump aggregates for the path sampler ------------------------
-# Step k collects jumps offsets[k]:offsets[k+1] with intra-step times jt in
-# (0, dt):  dxj[k] = sum exp(-lam*(dt-jt))*js,  ij[k] = sum k(dt-jt)*js
-# with k(u) the integrated decay.
+# Step k collects jumps offsets[k]:offsets[k+1] at time s = dt*jt before the
+# step's end, with sizes y = -js/alpha (js = log(1 - v) for a uniform v):
+# dxj[k] = sum exp(-lam*s)*y,  ij[k] = sum k(s)*y  with k(s) =
+# (1-exp(-lam*s))/lam the integrated decay.
 
-def jump_step_sums(jt, js, offsets, lam, dt):
-    """The sums above.  jt is overwritten by exp(-lam*(dt-jt))."""
-    # the formulas above, operation by operation: e in jt's memory, and one
-    # buffer for the product e*js and then for (1-e)/lam*js
-    e = np.subtract(dt, jt, out=jt)
-    e *= -lam
+def jump_step_sums(jt, js, offsets, lam, dt, alpha):
+    """The sums above.  jt is overwritten by exp(-lam*s) and js by the sizes."""
+    # the formulas above, operation by operation: e in jt's memory, the
+    # sizes in js's, and one buffer for the product e*y and then for
+    # (1-e)/lam*y
+    e = np.multiply(jt, -lam * dt, out=jt)
     np.exp(e, out=e)
+    js *= -1.0 / alpha
     prod = np.multiply(e, js)
     dxj = _segment_sums(prod, offsets)
     np.subtract(1.0, e, out=prod)

@@ -255,7 +255,8 @@ def normalized_cumulant(r: int, params: ModelParams, kappa_f: CumulantVector, T:
     """r-th cumulant of T^{-1/2} (Y_T - E[Y_T]), exact closed form.
 
     For r = 2 this is the exact finite-horizon variance of the normalized
-    functional.
+    functional.  OverflowError, naming r and T, when the scale factor
+    T^{-(r-2)/2} is beyond float range (tiny T at high orders).
     """
     _check_order(r, kappa_f)
     if T <= 0:
@@ -263,7 +264,12 @@ def normalized_cumulant(r: int, params: ModelParams, kappa_f: CumulantVector, T:
     lam, beta = params.lam, params.beta
     k_T = integrated_decay(lam, T)
     bracket = (beta * k_T) ** r / T + lam * r * kernel_weight_integral(r, params, T) / T
-    return T ** (-(r - 2) / 2.0) * bracket * kappa_f.get(r)
+    try:
+        scale = T ** (-(r - 2) / 2.0)
+    except OverflowError:
+        raise OverflowError(f"normalized cumulant of order {r} at T={T!r}: its scale "
+                            f"factor T**{-(r - 2) / 2.0} is beyond float range") from None
+    return scale * bracket * kappa_f.get(r)
 
 
 def normalized_cumulant_limit(r: int, params: ModelParams, kappa_f: CumulantVector) -> float:

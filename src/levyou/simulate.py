@@ -178,29 +178,35 @@ def _split_stream(rng: np.random.Generator, m: int, scratch: np.ndarray) -> np.r
 def _jump_runs(rng: np.random.Generator, driver: DriverSpec, span: float, n: int):
     """Compound-Poisson jumps of n spans of length `span`, run by run.
 
-    Yields (i0, i1, times, sizes, offsets) for the most whole spans i0..i1-1
-    within JUMP_BLOCK jumps, at least one: span i0 + k has the arrival times
-    times[offsets[k]:offsets[k+1]] in (0, span), and their Exp(alpha) sizes.
-    The yielded times and sizes are valid only until the next run: every run
-    of a call draws into the same two buffers, of min(m, JUMP_BLOCK) doubles
-    for m jumps in all (larger only for a single span with more jumps), and
-    the caller may overwrite them.  The offsets of a run starting at the
-    first jump are a view of the call's own offsets, which the caller must
-    not write.
+    Yields (i0, i1, u, l, offsets) for the most whole spans i0..i1-1 within
+    JUMP_BLOCK jumps, at least one: span i0 + k has the jumps
+    offsets[k]:offsets[k+1] of the run.  For each jump, u is a Uniform[0, 1)
+    double, so span*u has the law of the time from the jump to the span's
+    end, and l = log(1 - v) for a second uniform v, so -l is a unit
+    exponential (inversion; Devroye 1986, II.2) and -l/alpha the jump's
+    Exp(alpha) size.  1 - v is exact for the generator's 53-bit doubles, so
+    l is finite, and 0 exactly when v = 0.  The callers fold span and alpha
+    into their kernels' constants.
+    The yielded u and l are valid only until the next run: every run of a
+    call draws into the same two buffers, of min(m, JUMP_BLOCK) doubles for
+    m jumps in all (larger only for a single span with more jumps), and the
+    caller may overwrite them.  The offsets of a run starting at the first
+    jump are a view of the call's own offsets, which the caller must not
+    write.
 
-    Draw order: one Poisson(c*span) block of n counts, then the m arrival
-    times of all spans followed by their m sizes, as if each were one block.
-    The arrival times come from a copy of the generator, which itself moves
-    past them to the sizes (`_split_stream`), so a run holds
-    O(max(JUMP_BLOCK, largest span)) memory whatever c*span*n is, and at any
-    JUMP_BLOCK the draws and the final stream position are the same.
+    Draw order: one Poisson(c*span) block of n counts, then the m doubles u
+    of all spans followed by their m doubles v, as if each were one block.
+    The u come from a copy of the generator, which itself moves past them to
+    the v (`_split_stream`), so a run holds O(max(JUMP_BLOCK, largest span))
+    memory whatever c*span*n is, and at any JUMP_BLOCK the draws and the
+    final stream position are the same.
     """
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(rng.poisson(driver.c * span, n), out=offsets[1:])
     m = int(offsets[-1])
     buf = np.empty((2, min(m, JUMP_BLOCK)))
     # m <= JUMP_BLOCK is one run, drawn in order
-    times_rng = _split_stream(rng, m, buf[0]) if m > JUMP_BLOCK else rng
+    u_rng = _split_stream(rng, m, buf[0]) if m > JUMP_BLOCK else rng
     i0 = 0
     while i0 < n:
         lo = int(offsets[i0])
@@ -208,15 +214,13 @@ def _jump_runs(rng: np.random.Generator, driver: DriverSpec, span: float, n: int
         k = int(offsets[i1]) - lo
         if k > buf.shape[1]:
             buf = np.empty((2, k))
-        run_times, sizes = buf[0, :k], buf[1, :k]
-        # random()*span and standard_exponential()*(1/alpha) are the bits of
-        # uniform(0, span) and exponential(1/alpha)
-        times_rng.random(out=run_times)
-        run_times *= span
-        rng.standard_exponential(out=sizes)
-        sizes *= 1.0 / driver.alpha
+        u, l = buf[0, :k], buf[1, :k]
+        u_rng.random(out=u)
+        rng.random(out=l)
+        np.subtract(1.0, l, out=l)
+        np.log(l, out=l)
         run_offsets = offsets[i0:i1 + 1]
-        yield i0, i1, run_times, sizes, run_offsets - lo if lo else run_offsets
+        yield i0, i1, u, l, run_offsets - lo if lo else run_offsets
         i0 = i1
 
 
@@ -235,11 +239,16 @@ def sample_deviation(params: ModelParams, driver: DriverSpec, T: float,
     order-1 kernel-weight integral (which folds the jump compensator, so the
     draw has exact mean zero), a Gaussian part with variance C times the
     order-2 kernel-weight integral, and the jump sum over Poisson(c*T) jumps
-    with Uniform(0,T) arrival times and Exp(alpha) sizes.
+    with Uniform(0,T) arrival times and Exp(alpha) sizes.  Each jump is two
+    uniforms u and v: T*u has the law of the time from the jump to T, and
+    -log(1 - v)/alpha is its size (`_jump_runs`), so the jump adds
+    (rho + beta*(1 - exp(-lam*T*u))/lam) * (-log(1 - v)/alpha), summed by
+    `_kernels.segment_weighted_sums` with the constants folded.
 
     Draw order per call: stationary block(s) for X_0, one standard-normal
     block (when C > 0), then, when jumps are present, the draws' jumps in
-    `_jump_runs`'s order.  Each draw's jump sum depends only on its own
+    `_jump_runs`'s order: the draws' Poisson counts, then every jump's u,
+    then every jump's v.  Each draw's jump sum depends only on its own
     jumps, so the result does not depend on JUMP_BLOCK.  Raises ValueError,
     before drawing, when c*T*size exceeds MAX_EXPECTED_JUMPS.
     """
@@ -256,8 +265,9 @@ def sample_deviation(params: ModelParams, driver: DriverSpec, T: float,
         w2 = kernel_weight_integral(2, params, T)
         out = out + math.sqrt(driver.C * w2) * rng.standard_normal(n)
     if driver.has_jumps:
-        for i0, i1, tau, sizes, offsets in _jump_runs(rng, driver, T, n):
-            out[i0:i1] += _kernels.segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T)
+        for i0, i1, u, l, offsets in _jump_runs(rng, driver, T, n):
+            out[i0:i1] += _kernels.segment_weighted_sums(u, l, offsets, lam, beta, rho, T,
+                                                         driver.alpha)
     return float(out[0]) if size is None else out
 
 
@@ -291,10 +301,14 @@ def sample_path(params: ModelParams, driver: DriverSpec, T: float, n_steps: int,
     times within the step - and recovers the driver increment exactly from
     the state equation, so the law of the path is independent of n_steps.
     Y starts at zero; X starts from the stationary law unless x0 overrides
-    it (diagnostics hook).  Draw order: X_0 (unless x0 is given), one block
-    of 2*n_steps standard normals (when C > 0), then, when jumps are present,
-    the steps' jumps in `_jump_runs`'s order.  Raises ValueError, before
-    drawing, when c*T exceeds MAX_EXPECTED_JUMPS.
+    it (diagnostics hook).  A jump in a step is two uniforms u and v: dt*u
+    has the law of the time from the jump to the step's end, and
+    -log(1 - v)/alpha is its size (`_kernels.jump_step_sums`).  Draw order:
+    X_0 (unless x0 is given), one block of 2*n_steps standard normals (when
+    C > 0), then, when jumps are present, the steps' jumps in `_jump_runs`'s
+    order: the steps' Poisson counts, then every jump's u, then every jump's
+    v.  Raises ValueError, before drawing, when c*T exceeds
+    MAX_EXPECTED_JUMPS.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -308,8 +322,8 @@ def sample_path(params: ModelParams, driver: DriverSpec, T: float, n_steps: int,
     n = n_steps
     g1, g2 = rng.standard_normal((2, n)) if driver.C > 0 else np.zeros((2, n))
     if driver.has_jumps:
-        sums = [_kernels.jump_step_sums(jt, js, offsets, lam, dt)
-                for _, _, jt, js, offsets in _jump_runs(rng, driver, dt, n)]
+        sums = [_kernels.jump_step_sums(u, l, offsets, lam, dt, driver.alpha)
+                for _, _, u, l, offsets in _jump_runs(rng, driver, dt, n)]
         # the usual single run is kept as it is: copying it costs ~15% of a path
         dxj, ij = sums[0] if len(sums) == 1 else map(np.concatenate, zip(*sums))
         del sums

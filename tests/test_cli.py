@@ -33,32 +33,31 @@ from test_simulate import float_canary
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_gamma_ou.json"
 
-# theta_hat.json of TestThetaHatCommand's benchmark op, as written when the
-# bias, its SE and theta-hat came from the draws' k-statistics, recorded with
-# numpy 2.4 on x86-64 under test_simulate's two float canaries (with and
-# without AVX-512 exp/expm1), whose draws differ in last bits and so give
-# biases two ulps apart.
+# theta_hat.json of TestThetaHatCommand's benchmark op, as written with jump
+# sizes by inversion and the kernels' constants folded, recorded with numpy
+# 2.4 on x86-64 under test_simulate's two float canaries (with and without
+# AVX-512 exp, expm1 and log), whose draws differ in last bits.
 THETA_HAT_DIGESTS = {
-    "b5c9e09238084d3a": "9007bb76b55add4a9fc2d862a66571c67b9f81053973f3d103f3f6071d40ffbc",
-    "4445dd6db5019aad": "0da310476508bb5565b5268855398f3e332cdbb986d7d47405fae8e05b56a088",
+    "af6c5de4a420a779": "e6cfcaf7d1e8f0e8b0ee648064b5e04ff8c3d4c60171ce3e3d6357bb35588c3c",
+    "150bdcdaa4cc9966": "65693b3bb58d2e9edf04a9a37848bc26b681260eec1685522cc6bd3dedc71930",
 }
 
 # path_000.csv .. path_003.csv of TestSimulateCommand's benchmark op, as
-# written when every path formatted its own time column, recorded with numpy
-# 2.4 on x86-64 under test_simulate's two float canaries.  The jumps of paths
-# 1 and 3 take the AVX-512 exp/expm1 bits.
+# written with jump sizes by inversion and the kernels' constants folded,
+# recorded with numpy 2.4 on x86-64 under test_simulate's two float canaries,
+# which give these paths the same bits.
 SIMULATE_DIGESTS = {
-    "b5c9e09238084d3a": (
-        "d3b5e8fabaed6e7b85477654f78a9fd9df5b7c8901189c50c21f82d49a70e4eb",
-        "1c9637e86b9990a0c5ad0dcd9d70f0bb9ca24a43ab2cd55e30c3ff1a93bef6ce",
-        "7f0b8c07407e1e4eb0914d7c00e166a14951a22519f2c60467894c1b08056e0a",
-        "3167b288a4dc125b3ea5754854c4e38c22f9c3c3b1a263ea73c2fa15a2557389",
+    "af6c5de4a420a779": (
+        "3fc36ce1b96cdf33cb8c6b3fc0a93cfc0054b98c62c3d3dca4767fe8f6c15c16",
+        "410906366f27b3d599f2b33c23f965c65c8904ebf16fb2beaa95a23ffbdfffae",
+        "8d7bbd586a29d7d5edd82fb2d894bf329c474f83732ebd23f8521075901e3cc4",
+        "9b2c4be44589aaa01591aad8e7c80b0f83789ceb2182f8926240e39af6f8f058",
     ),
-    "4445dd6db5019aad": (
-        "d3b5e8fabaed6e7b85477654f78a9fd9df5b7c8901189c50c21f82d49a70e4eb",
-        "1fe0e8605608fbe86d3dbb38cc074005fc39b1b6e90292901969bcf3afbdc3fd",
-        "7f0b8c07407e1e4eb0914d7c00e166a14951a22519f2c60467894c1b08056e0a",
-        "3363018e0ebe1d4e5c81ddb3e5117959da984db35ccf278a959d360d1e24c06d",
+    "150bdcdaa4cc9966": (
+        "3fc36ce1b96cdf33cb8c6b3fc0a93cfc0054b98c62c3d3dca4767fe8f6c15c16",
+        "410906366f27b3d599f2b33c23f965c65c8904ebf16fb2beaa95a23ffbdfffae",
+        "8d7bbd586a29d7d5edd82fb2d894bf329c474f83732ebd23f8521075901e3cc4",
+        "9b2c4be44589aaa01591aad8e7c80b0f83789ceb2182f8926240e39af6f8f058",
     ),
 }
 
@@ -255,11 +254,13 @@ def test_jump_budget_is_checked_before_any_draw(subcommand, horizons, write_conf
     # a kernel weight integral beyond float range, which numpy would give as inf
     ("cumulants", ["p_orders=[12]", "params.lam=1e-25", "T_grid=[1e40]"], None),  # OverflowError
     ("density", ["driver.alpha=1e-30", "p_orders=[12]"], None),  # ZeroDivisionError
+    # T**-3.5 at T = 1e-100, in the normalized cumulant of order 9
+    ("density", ["T_grid=[1e-100]", "p_orders=[12]"], "normalized cumulant"),  # OverflowError
     # 8 PB of grid, beyond the address space, so the allocation fails at once
     ("density", ["density_grid.n=1000000000000000"], None),  # MemoryError
     ("cumulants", None, None),  # --out names an existing file: FileExistsError
 ], ids=["alpha-tiny", "T-huge", "lam-tiny", "lam-tiny-weight-inf", "density-alpha-tiny",
-        "grid-huge", "out-is-file"])
+        "density-T-tiny", "grid-huge", "out-is-file"])
 def test_schema_valid_extremes_exit_2(subcommand, overrides, names, tmp_path, capsys):
     out = tmp_path / "out"
     if overrides is None:

@@ -12,26 +12,31 @@ from levyou.simulate import _step_gaussian_cholesky
 
 # --- reference loops (oracles) ---------------------------------------------
 
-def segment_weighted_sums_ref(tau, sizes, offsets, lam, beta, rho, T):
+# A jump is a uniform u, whose span*u is its time s to the end of the span,
+# and l = log(1 - v) for a uniform v, whose -l/alpha is its size y.  The
+# loops write the weights unfolded, as the model states them.
+
+def segment_weighted_sums_ref(tau, sizes, offsets, lam, beta, rho, T, alpha):
     out = np.zeros(offsets.size - 1)
     for i in range(offsets.size - 1):
         s = 0.0
         for j in range(offsets[i], offsets[i + 1]):
-            w = rho + beta * (-math.expm1(-lam * (T - tau[j]))) / lam
-            s += w * sizes[j]
+            w = rho + beta * (-math.expm1(-lam * T * tau[j])) / lam
+            s += w * (-sizes[j] / alpha)
         out[i] = s
     return out
 
 
-def jump_step_sums_ref(jt, js, offsets, lam, dt):
+def jump_step_sums_ref(jt, js, offsets, lam, dt, alpha):
     n = offsets.size - 1
     dxj = np.zeros(n)
     ij = np.zeros(n)
     for k in range(n):
         for j in range(offsets[k], offsets[k + 1]):
-            e = math.exp(-lam * (dt - jt[j]))
-            dxj[k] += e * js[j]
-            ij[k] += (1.0 - e) / lam * js[j]
+            e = math.exp(-lam * dt * jt[j])
+            y = -js[j] / alpha
+            dxj[k] += e * y
+            ij[k] += (1.0 - e) / lam * y
     return dxj, ij
 
 
@@ -50,13 +55,19 @@ def path_recursion_ref(x0, q, eta_d, drift_x, drift_i, a11, a21, a22,
     return np.array(X), np.concatenate(([0.0], np.cumsum(dy)))
 
 
-# The parent formulas with a fresh temporary per operation: the in-place
+# The kernels' formulas with a fresh temporary per operation: the in-place
 # kernels must give their bits exactly.
 
-def jump_step_sums_formula(jt, js, offsets, lam, dt):
-    e = np.exp(-lam * (dt - jt))
-    return (_kernels._segment_sums(e * js, offsets),
-            _kernels._segment_sums((1.0 - e) / lam * js, offsets))
+def segment_weights_formula(tau, sizes, lam, beta, rho, T, alpha):
+    return (np.exp(tau * (-lam * T)) * (beta / (lam * alpha))
+            - (rho + beta / lam) / alpha) * sizes
+
+
+def jump_step_sums_formula(jt, js, offsets, lam, dt, alpha):
+    e = np.exp(jt * (-lam * dt))
+    y = js * (-1.0 / alpha)
+    return (_kernels._segment_sums(e * y, offsets),
+            _kernels._segment_sums((1.0 - e) / lam * y, offsets))
 
 
 def path_recursion_formula(x0, q, eta_d, drift_x, drift_i, a11, a21, a22,
@@ -106,73 +117,123 @@ def jump_workload(rng):
     counts = rng.poisson(4.0, 3000)
     counts[::7] = 0  # force empty segments
     offsets = _offsets(counts)
-    tau = rng.uniform(0.0, 10.0, offsets[-1])
-    sizes = rng.exponential(1.0, offsets[-1])
-    return tau, sizes, offsets
+    u = rng.random(offsets[-1])
+    l = np.log(1.0 - rng.random(offsets[-1]))
+    return u, l, offsets
+
+
+# (lam, beta, rho, T, alpha): positive weights, negative ones (beta < 0 and
+# rho < 0), and the degenerate rho = -beta/lam, where the kernel's
+# subtraction of (rho + beta/lam)/alpha is exact
+WEIGHT_MODELS = [(1.0, 1.0, 0.5, 10.0, 1.0), (0.7, -1.2, -0.4, 6.0, 1.3),
+                 (1.0, 1.0, -1.0, 10.0, 1.5)]
 
 
 def test_segment_weighted_sums_match_reference(jump_workload):
-    tau, sizes, offsets = jump_workload
-    ref = segment_weighted_sums_ref(tau, sizes, offsets, 1.0, 1.0, 0.5, 10.0)
-    got = _kernels.segment_weighted_sums(tau, sizes, offsets, 1.0, 1.0, 0.5, 10.0)
-    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-12)
-    assert np.all(got[::7] == 0.0)  # empty segments stay exactly zero
+    for model in WEIGHT_MODELS:
+        tau, sizes, offsets = (a.copy() for a in jump_workload)
+        ref = segment_weighted_sums_ref(tau, sizes, offsets, *model)
+        got = _kernels.segment_weighted_sums(tau, sizes, offsets, *model)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-12)
+        assert np.all(got[::7] == 0.0)  # empty segments stay exactly zero
 
 
 def test_segment_weighted_sums_exact_per_segment_at_high_intensity(rng):
     # A 4096-draw chunk at c*T = 800: each segment's sum has only its own
     # rounding, not that of a running sum over the whole chunk.
-    lam, beta, rho, T = 0.5, 1.0, 0.5, 40.0
+    model = lam, beta, rho, T, alpha = 0.5, 1.0, 0.5, 40.0, 1.5
     offsets = _offsets(rng.poisson(800.0, 4096))
-    tau = rng.uniform(0.0, T, offsets[-1])
-    sizes = rng.exponential(1.0 / 1.5, offsets[-1])
-    terms = ((rho + beta * (-np.expm1(-lam * (T - tau))) / lam) * sizes).tolist()
+    tau = rng.random(offsets[-1])
+    sizes = np.log(1.0 - rng.random(offsets[-1]))
+    terms = segment_weights_formula(tau, sizes, *model).tolist()
     exact = np.array([math.fsum(terms[lo:hi]) for lo, hi in zip(offsets[:-1], offsets[1:])])
-    got = _kernels.segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T)
+    got = _kernels.segment_weighted_sums(tau, sizes, offsets, *model)
     assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-13
 
 
 def test_segment_weighted_sums_builds_the_weights_in_tau(jump_workload):
-    tau, sizes, offsets = jump_workload
-    weighted = (0.5 + 1.0 * (-np.expm1(-1.0 * (10.0 - tau))) / 1.0) * sizes
-    _kernels.segment_weighted_sums(tau, sizes, offsets, 1.0, 1.0, 0.5, 10.0)
-    np.testing.assert_allclose(tau, weighted, rtol=1e-15, atol=0.0)
+    # the terms are the formula's bits, and so are their segment sums
+    for model in WEIGHT_MODELS:
+        tau, sizes, offsets = (a.copy() for a in jump_workload)
+        terms = segment_weights_formula(tau, sizes, *model)
+        got = _kernels.segment_weighted_sums(tau, sizes, offsets, *model)
+        assert np.array_equal(tau, terms)
+        assert np.array_equal(got, _kernels._segment_sums(terms, offsets))
 
 
 def test_segment_weighted_sums_no_jumps():
     offsets = np.zeros(5, dtype=np.int64)
     empty = np.empty(0)
-    got = _kernels.segment_weighted_sums(empty, empty, offsets, 1.0, 1.0, 0.5, 10.0)
+    got = _kernels.segment_weighted_sums(empty, empty, offsets, 1.0, 1.0, 0.5, 10.0, 1.5)
     assert np.array_equal(got, np.zeros(4)) and got.dtype == np.float64
     assert np.array_equal(got, segment_weighted_sums_ref(empty, empty, offsets,
-                                                         1.0, 1.0, 0.5, 10.0))
+                                                         1.0, 1.0, 0.5, 10.0, 1.5))
+
+
+def _edge_jumps():
+    """Jumps at the ends of the uniforms, in four segments: v = 0 (l =
+    log(1) = 0, a zero size) alone in the first, and in the second beside a
+    jump of nonzero size, both with u = 0 (at the end of their span); and
+    v = 1 - 2^-53, the largest double below 1 (l = log(2^-53)), in the
+    fourth, once with u = 1 - 2^-53."""
+    u = np.array([0.3, 0.0, 0.0, 0.6, 0.25, 1.0 - 2.0 ** -53])
+    v = np.array([0.0, 0.5, 0.0, 0.7, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -53])
+    l = np.log(1.0 - v)
+    assert l[0] == 0.0 and l[4] == l[5] == np.log(2.0 ** -53)
+    return u, l, np.array([0, 1, 3, 4, 6])
+
+
+def test_segment_weighted_sums_at_the_ends_of_the_uniforms():
+    for model in WEIGHT_MODELS:
+        tau, sizes, offsets = _edge_jumps()
+        ref = segment_weighted_sums_ref(tau, sizes, offsets, *model)
+        got = _kernels.segment_weighted_sums(tau, sizes, offsets, *model)
+        assert np.all(np.isfinite(got)) and np.all(np.isfinite(tau))
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-12)
+        # a zero size adds exactly 0
+        assert tau[0] == tau[2] == 0.0 and got[0] == 0.0
+        assert got[1] == tau[1]
+
+
+def test_jump_step_sums_at_the_ends_of_the_uniforms():
+    jt, js, offsets = _edge_jumps()
+    ref = jump_step_sums_ref(jt, js, offsets, 0.8, 0.05, 1.5)
+    got = _kernels.jump_step_sums(jt, js, offsets, 0.8, 0.05, 1.5)
+    for g, r in zip(got, ref):
+        assert np.all(np.isfinite(g))
+        np.testing.assert_allclose(g, r, rtol=1e-13, atol=1e-14)
+    # a zero size adds exactly 0; jt and js now hold exp(-lam*s) and the sizes
+    dxj, ij = got
+    assert dxj[0] == ij[0] == 0.0
+    assert dxj[1] == jt[1] * js[1] and ij[1] == (1.0 - jt[1]) / 0.8 * js[1]
 
 
 def test_jump_step_sums_match_reference(rng):
     counts = rng.poisson(0.2, 2000)  # mostly empty steps
     offsets = _offsets(counts)
-    jt = rng.uniform(0.0, 0.05, offsets[-1])
-    js = rng.exponential(1.0, offsets[-1])
-    ref = jump_step_sums_ref(jt, js, offsets, 0.8, 0.05)  # before jt is overwritten
-    got = _kernels.jump_step_sums(jt, js, offsets, 0.8, 0.05)
+    jt = rng.random(offsets[-1])
+    js = np.log(1.0 - rng.random(offsets[-1]))
+    ref = jump_step_sums_ref(jt, js, offsets, 0.8, 0.05, 1.5)  # before jt, js are overwritten
+    got = _kernels.jump_step_sums(jt, js, offsets, 0.8, 0.05, 1.5)
     for g, r in zip(got, ref):
         np.testing.assert_allclose(g, r, rtol=1e-13, atol=1e-14)
         assert np.all(g[counts == 0] == 0.0)
 
 
 def test_jump_step_sums_are_the_formulas_bits_and_overwrite_jt(jump_workload):
+    # jt is overwritten by exp(-lam*s) and js by the sizes
     jt, js, offsets = jump_workload
-    want = jump_step_sums_formula(jt, js, offsets, 0.8, 10.0)
-    e = np.exp(-0.8 * (10.0 - jt))
-    got = _kernels.jump_step_sums(jt, js, offsets, 0.8, 10.0)
+    want = jump_step_sums_formula(jt, js, offsets, 0.8, 10.0, 1.5)
+    e, y = np.exp(jt * (-0.8 * 10.0)), js * (-1.0 / 1.5)
+    got = _kernels.jump_step_sums(jt, js, offsets, 0.8, 10.0, 1.5)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert np.array_equal(jt, e)
+    assert np.array_equal(jt, e) and np.array_equal(js, y)
 
 
 def test_jump_step_sums_no_jumps():
     offsets = np.zeros(4, dtype=np.int64)
     empty = np.empty(0)
-    dxj, ij = _kernels.jump_step_sums(empty, empty, offsets, 0.8, 0.05)
+    dxj, ij = _kernels.jump_step_sums(empty, empty, offsets, 0.8, 0.05, 1.5)
     assert np.array_equal(dxj, np.zeros(3)) and np.array_equal(ij, np.zeros(3))
     assert dxj.dtype == ij.dtype == np.float64
 
@@ -195,9 +256,9 @@ def _path_args(rng, n, lam, dt):
     a11, a21, a22 = _step_gaussian_cholesky(1.0, lam, dt)
     counts = rng.poisson(dt, n)
     offsets = _offsets(counts)
-    jt = rng.uniform(0.0, dt, offsets[-1])
-    js = rng.exponential(1.0, offsets[-1])
-    dxj, ij = _kernels.jump_step_sums(jt, js, offsets, lam, dt)
+    jt = rng.random(offsets[-1])
+    js = np.log(1.0 - rng.random(offsets[-1]))
+    dxj, ij = _kernels.jump_step_sums(jt, js, offsets, lam, dt, 1.0)
     x0 = b0 / lam + rng.gamma(1.0 / lam, 1.0)
     return (x0, q, eta_d, b0 * eta_d, b0 * (dt - eta_d) / lam, a11, a21, a22,
             rng.standard_normal(n), rng.standard_normal(n), dxj, ij,

@@ -15,6 +15,7 @@ from levyou import (
     DriverSpec,
     ExperimentConfig,
     ModelParams,
+    cumulant_table,
     driver_cumulants,
     expected_terminal,
     integrated_decay,
@@ -67,7 +68,8 @@ SAMPLERS = {"deviation": sample_deviation_and_next, "path": sample_path_xy}
 def replay_deviation(params, driver, T, rng, size):
     """sample_deviation(..., rng, size) replayed in its documented draw order,
     each kind of variate drawn as one block.  Returns each draw's part
-    without jumps and its jump sum, the latter by math.fsum."""
+    without jumps and its jump sum, the latter by math.fsum of the jump
+    weights written out unfolded, with sizes by inversion."""
     lam, beta, rho = params.lam, params.beta, params.rho
     x0 = sample_stationary_state(driver, lam, rng, size=size)
     base = (beta * integrated_decay(lam, T) * x0 - T * (beta + rho * lam) * driver.b / lam
@@ -76,9 +78,9 @@ def replay_deviation(params, driver, T, rng, size):
         base = base + (math.sqrt(driver.C * kernel_weight_integral(2, params, T))
                        * rng.standard_normal(size))
     counts = rng.poisson(driver.c * T, size)
-    tau = rng.uniform(0.0, T, counts.sum())
-    sizes = rng.exponential(1.0 / driver.alpha, counts.sum())
-    terms = ((rho + beta * (-np.expm1(-lam * (T - tau))) / lam) * sizes).tolist()
+    to_horizon = T * rng.random(counts.sum())  # T - (arrival time), in law
+    sizes = -np.log(1.0 - rng.random(counts.sum())) / driver.alpha
+    terms = ((rho + beta * (-np.expm1(-lam * to_horizon)) / lam) * sizes).tolist()
     ends = np.cumsum(counts)
     return base, np.array([math.fsum(terms[e - k:e]) for k, e in zip(counts, ends)])
 
@@ -91,9 +93,9 @@ def replay_path(params, driver, T, n_steps, rng):
     g1, g2 = rng.standard_normal(n_steps), rng.standard_normal(n_steps)
     counts = rng.poisson(driver.c * dt, n_steps)
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    jt = rng.uniform(0.0, dt, counts.sum())
-    js = rng.exponential(1.0 / driver.alpha, counts.sum())
-    dxj, ij = _kernels.jump_step_sums(jt, js, offsets, lam, dt)
+    jt = rng.random(counts.sum())
+    js = np.log(1.0 - rng.random(counts.sum()))
+    dxj, ij = _kernels.jump_step_sums(jt, js, offsets, lam, dt, driver.alpha)
     eta_d = integrated_decay(lam, dt)
     return _kernels.path_recursion(x0, math.exp(-lam * dt), eta_d, driver.b0 * eta_d,
                                    driver.b0 * (dt - eta_d) / lam,
@@ -129,15 +131,16 @@ ACC06_MODEL = (ModelParams(lam=1.0, gamma=0.0, beta=1.0, rho=0.5),
 
 
 def float_canary():
-    """A digest of the elementwise exp/expm1 and the distributions the
-    samplers draw from.  numpy's exp and expm1 take different code paths on
-    different CPUs (AVX-512 or not) and versions, which move last bits of
-    the draws; equal canaries mean the same arithmetic."""
+    """A digest of the elementwise exp, expm1 and log and the distributions
+    the samplers draw from.  numpy's exp, expm1 and log take different code
+    paths on different CPUs (AVX-512 or not) and versions, which move last
+    bits of the draws; equal canaries mean the same arithmetic."""
     rng = np.random.default_rng(0)
     x = rng.uniform(-40.0, 0.0, 1 << 16)
-    parts = (np.expm1(x), np.exp(x), rng.poisson(800.0, 4096), rng.poisson(0.8, 4096),
+    parts = (np.expm1(x), np.exp(x), np.log(1.0 - rng.random(1 << 16)),
+             rng.poisson(800.0, 4096), rng.poisson(0.8, 4096),
              rng.gamma(40.0, 1.0 / 1.5, 4096), rng.gamma(1.0, 1.0, 4096),
-             rng.standard_normal(4096), rng.exponential(1.0 / 1.5, 4096))
+             rng.standard_normal(4096))
     return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()[:16]
 
 
@@ -153,11 +156,12 @@ def path_digest(model, T, n_steps):
     return hashlib.sha256(path.X.tobytes() + path.Y.tobytes()).hexdigest()
 
 
-# Each case's digest as the sampler gave it when every run drew fresh arrays,
-# recorded with numpy 2.4 on x86-64 under two float canaries: with and
-# without numpy's AVX-512 exp/expm1 (NPY_DISABLE_CPU_FEATURES="X86_V4
-# AVX512_ICL AVX512_SPR").  jumps-T40's drift takes the correctly rounded
-# kernel weight W_1 = 96 + 4 e^{-20} at T = 40.
+# Each case's digest as the sampler gives it with sizes by inversion and the
+# kernels' constants folded, recorded with numpy 2.4 on x86-64 under two
+# float canaries: with and without numpy's AVX-512 exp, expm1 and log
+# (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR").  jumps-T40's
+# drift takes the correctly rounded kernel weight W_1 = 96 + 4 e^{-20} at
+# T = 40.
 DIGEST_CASES = {
     # ~50 runs of a split PCG64 stream
     "jumps-T40": lambda: deviation_digest(JUMPS_MODEL, 40.0, 4096),
@@ -169,17 +173,17 @@ DIGEST_CASES = {
     "path-T4000": lambda: path_digest(JUMPS_MODEL, 4000.0, 1000),
 }
 RECORDED_DIGESTS = {
-    "b5c9e09238084d3a": {
-        "jumps-T40": "bc0d4fb94fcfef0adeb340d3cf2fe5111abe0508dfcc0059ee52956663f82fd9",
-        "acc06-T20": "de174ad3f0d247d1e5aa1b8b99dbb32a5e2f601594666b9ad5dac7fcf8c2881e",
-        "acc06-T20-one-run": "e3bbf21d502689bb4fda19b3fa57e0fde227568be71dcb780d48d0401abb5414",
-        "path-T4000": "2743087ac53f19690c98adad1195f306bb82a81fb9ef8cdd299d5b2afa80ce95",
+    "af6c5de4a420a779": {
+        "jumps-T40": "4f612cf4b58f382bb091e34ebf6c56d69430cf29679488708db68fbd08b7d4fd",
+        "acc06-T20": "424117f290d4991a75059f81c670ac3d0cf21d40d81a20d5592b88ce87287af3",
+        "acc06-T20-one-run": "006caf43e3c43ad3423795c6487cab9bb464151bbe989d1fc0537800ed97f92c",
+        "path-T4000": "f930e0e89a7795561523bf3507af260aaf55374e719748d0dd5617d29e5f90eb",
     },
-    "4445dd6db5019aad": {
-        "jumps-T40": "f033a56628d4ebe3de789ee90fb4503600dcba7af063ca5d4a4848e37eec487f",
-        "acc06-T20": "d0139fa7f8d30f6f4eaa676bce7d72d827a0997364e257cc5a3b2274dfde0f06",
-        "acc06-T20-one-run": "a895ba32eb953b965d68e0181eec661d828b7df49f1ee544188d4401265b9d8e",
-        "path-T4000": "c0169f4983b4c47c1d27031c31bb2f82ad2591558a0c292869d3b694a06db98c",
+    "150bdcdaa4cc9966": {
+        "jumps-T40": "e56871e536e0813f0c2bd41a2bd3db5ea1b99a41921682e999cd36ff7be7496f",
+        "acc06-T20": "f4abb69fc438bdb81ca2c683259293779781d43aa0a9d2adccb3beadfc94d577",
+        "acc06-T20-one-run": "7c1e82292a817af3196d8e4f752e1904e9cd326d8b6350e40686027c202e029f",
+        "path-T4000": "1c244a8bb8372b4fbe1f578965e9e55b150ea60cd8f139e53563dfb71fc3fb1b",
     },
 }
 
@@ -296,6 +300,20 @@ class TestSampleDeviation:
         for r in (2, 3):
             pred = normalized_cumulant(r, params, gamma_ou_kappa_f, T)
             assert abs(ks.values[r - 1] - pred) <= 5.0 * ks.se[r - 1]
+
+    def test_kstats_match_closed_form_with_negative_rho_and_beta(self):
+        # every jump weight rho + beta*k(s) is negative, and the folded
+        # kernel subtracts (rho + beta/lam)/alpha < 0 from a negative term
+        params = ModelParams(lam=0.7, gamma=0.1, beta=-1.2, rho=-0.4)
+        driver = DriverSpec.cpexp(b=0.6, c=2.0, alpha=1.3)
+        T = 6.0
+        kf = stationary_cumulants(driver_cumulants(driver, 3), params.lam)
+        table = cumulant_table(3, params, kf, T)
+        rng = np.random.default_rng(36)
+        s = sample_deviation(params, driver, T, rng, size=400_000) / math.sqrt(T)
+        ks = k_statistics(s, r_max=3)
+        for r, pred in enumerate((0.0, table.get(2), table.get(3)), start=1):
+            assert abs(ks.values[r - 1] - pred) <= 5.0 * ks.se[r - 1], (r, ks.values, pred)
 
     def test_variance_identity_all_drivers(self):
         params = ModelParams(lam=0.9, gamma=0.1, beta=1.1, rho=0.3)
