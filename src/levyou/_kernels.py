@@ -10,11 +10,12 @@ The jump kernels take each jump as the two doubles `_jump_runs` draws: a
 uniform u, whose span*u has the law of the time from the jump to the end of
 its span (the horizon, or the end of a path step), and l = log(1 - v) for a
 second uniform v, so -l/alpha is an Exp(alpha) size.  They fold span, alpha
-and the model's constants into one multiplier per pass.
-`segment_weighted_sums` builds the weighted terms in its `tau` argument's
-own memory, overwriting the uniforms, so a call allocates no jump-sized
-array; `jump_step_sums` likewise overwrites its `jt` and `js` and allocates
-one jump-sized product buffer.
+and the model's constants into one multiplier per pass, and take the decay
+of each jump from expm1, so the weights keep their accuracy however small
+lam*span is.  `segment_weighted_sums` builds the weighted terms in its
+`tau` argument's own memory, overwriting the uniforms, and
+`jump_step_sums` builds its terms in `jt`'s and the sizes in `js`'s, so
+neither allocates a jump-sized array.
 
 The per-step X update of the path sampler is affine with one constant
 factor, x' = q*x + c_k, so X is a doubling scan: ceil(log2 n) whole-array
@@ -36,7 +37,11 @@ tests/test_kernels.py.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
+
+_FLOAT_MAX = sys.float_info.max
 
 
 # --- exact per-segment sums ------------------------------------------------
@@ -58,18 +63,21 @@ def _segment_sums(values, offsets):
 # offsets[i]:offsets[i+1], for jumps at time s_j = T*tau[j] before the
 # horizon with sizes y_j = -sizes[j]/alpha (sizes[j] = log(1 - v) for a
 # uniform v).  With the constants folded, each term is
-#   (exp(tau*(-lam*T)) * beta/(lam*alpha) - (rho + beta/lam)/alpha) * sizes:
-# four passes besides exp and no division.  A term's absolute error is a few
-# ulp of (|rho + beta/lam| + |beta|/lam)/alpha times |sizes|, and in the
-# degenerate case rho + beta/lam = 0 the subtraction is exact.
+#   (expm1(tau*(-lam*T)) * beta/(lam*alpha) - rho/alpha) * sizes:
+# four passes besides expm1 and no division.  expm1 is accurate to a few ulp
+# of beta*k(s)/alpha however small lam*s is, so a term's absolute error is a
+# few ulp of (|rho| + |beta|*k(s))/alpha times |sizes|, with k(s) =
+# (1-exp(-lam*s))/lam <= min(s, 1/lam) the integrated decay.  -lam*T is held
+# to the largest finite double, so a jump at u = 0 weighs rho even where
+# lam*T overflows.
 
 def segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T, alpha):
     """The sums above.  tau is overwritten by the terms."""
     # the folded formula above, operation by operation, in tau's memory
-    w = np.multiply(tau, -lam * T, out=tau)
-    np.exp(w, out=w)
+    w = np.multiply(tau, max(-lam * T, -_FLOAT_MAX), out=tau)
+    np.expm1(w, out=w)
     w *= beta / (lam * alpha)
-    w -= (rho + beta / lam) / alpha
+    w -= rho / alpha
     w *= sizes
     return _segment_sums(w, offsets)
 
@@ -78,22 +86,22 @@ def segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T, alpha):
 # Step k collects jumps offsets[k]:offsets[k+1] at time s = dt*jt before the
 # step's end, with sizes y = -js/alpha (js = log(1 - v) for a uniform v):
 # dxj[k] = sum exp(-lam*s)*y,  ij[k] = sum k(s)*y  with k(s) =
-# (1-exp(-lam*s))/lam the integrated decay.
+# (1-exp(-lam*s))/lam the integrated decay.  Both come from m =
+# expm1(-lam*s):  ij[k] = -(sum m*y)/lam, accurate however small lam*dt is,
+# and each term of dxj is m*y + y, within a few ulp of |y|.
 
 def jump_step_sums(jt, js, offsets, lam, dt, alpha):
-    """The sums above.  jt is overwritten by exp(-lam*s) and js by the sizes."""
-    # the formulas above, operation by operation: e in jt's memory, the
-    # sizes in js's, and one buffer for the product e*y and then for
-    # (1-e)/lam*y
-    e = np.multiply(jt, -lam * dt, out=jt)
-    np.exp(e, out=e)
+    """The sums above.  jt is overwritten by exp(-lam*s)*y and js by y."""
+    # the formulas above, operation by operation: m, then m*y, then m*y + y
+    # in jt's memory, and the sizes y in js's
+    m = np.multiply(jt, max(-lam * dt, -_FLOAT_MAX), out=jt)
+    np.expm1(m, out=m)
     js *= -1.0 / alpha
-    prod = np.multiply(e, js)
-    dxj = _segment_sums(prod, offsets)
-    np.subtract(1.0, e, out=prod)
-    prod /= lam
-    prod *= js
-    return dxj, _segment_sums(prod, offsets)
+    m *= js
+    ij = _segment_sums(m, offsets)
+    ij /= -lam
+    m += js
+    return _segment_sums(m, offsets), ij
 
 
 # --- exact per-step recursion for (X, Y) ----------------------------------

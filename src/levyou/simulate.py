@@ -243,7 +243,8 @@ def sample_deviation(params: ModelParams, driver: DriverSpec, T: float,
     uniforms u and v: T*u has the law of the time from the jump to T, and
     -log(1 - v)/alpha is its size (`_jump_runs`), so the jump adds
     (rho + beta*(1 - exp(-lam*T*u))/lam) * (-log(1 - v)/alpha), summed by
-    `_kernels.segment_weighted_sums` with the constants folded.
+    `_kernels.segment_weighted_sums` with the constants folded and the decay
+    taken from expm1.
 
     Draw order per call: stationary block(s) for X_0, one standard-normal
     block (when C > 0), then, when jumps are present, the draws' jumps in

@@ -34,30 +34,31 @@ from test_simulate import float_canary
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_gamma_ou.json"
 
 # theta_hat.json of TestThetaHatCommand's benchmark op, as written with jump
-# sizes by inversion and the kernels' constants folded, recorded with numpy
-# 2.4 on x86-64 under test_simulate's two float canaries (with and without
-# AVX-512 exp, expm1 and log), whose draws differ in last bits.
+# sizes by inversion and the kernels' constants folded into their expm1
+# forms, recorded with numpy 2.4 on x86-64 under test_simulate's two float
+# canaries (with and without AVX-512 exp, expm1 and log), which give this
+# file the same bits.
 THETA_HAT_DIGESTS = {
-    "af6c5de4a420a779": "e6cfcaf7d1e8f0e8b0ee648064b5e04ff8c3d4c60171ce3e3d6357bb35588c3c",
-    "150bdcdaa4cc9966": "65693b3bb58d2e9edf04a9a37848bc26b681260eec1685522cc6bd3dedc71930",
+    "af6c5de4a420a779": "8584f2864cf8d0eeaebfee865a22e1dbe8b7704b695877688577370abab17d0c",
+    "150bdcdaa4cc9966": "8584f2864cf8d0eeaebfee865a22e1dbe8b7704b695877688577370abab17d0c",
 }
 
 # path_000.csv .. path_003.csv of TestSimulateCommand's benchmark op, as
-# written with jump sizes by inversion and the kernels' constants folded,
-# recorded with numpy 2.4 on x86-64 under test_simulate's two float canaries,
+# written with jump sizes by inversion and the kernels' constants folded into
+# their expm1 forms, recorded with numpy 2.4 on x86-64 under test_simulate's two float canaries,
 # which give these paths the same bits.
 SIMULATE_DIGESTS = {
     "af6c5de4a420a779": (
         "3fc36ce1b96cdf33cb8c6b3fc0a93cfc0054b98c62c3d3dca4767fe8f6c15c16",
-        "410906366f27b3d599f2b33c23f965c65c8904ebf16fb2beaa95a23ffbdfffae",
-        "8d7bbd586a29d7d5edd82fb2d894bf329c474f83732ebd23f8521075901e3cc4",
-        "9b2c4be44589aaa01591aad8e7c80b0f83789ceb2182f8926240e39af6f8f058",
+        "665070cc0e2062682871dd3bff8ff3ddbb76869e42de2961628c1e89d6113f98",
+        "f95c32aee1e887efa2682dbd4afb63a4a58c48b5339315bd2ec39503f1a46315",
+        "f4f8d3fdbd51c15fd968df5adf0854fbcaf7e6dc7b98b481da65233c6cde3fa7",
     ),
     "150bdcdaa4cc9966": (
         "3fc36ce1b96cdf33cb8c6b3fc0a93cfc0054b98c62c3d3dca4767fe8f6c15c16",
-        "410906366f27b3d599f2b33c23f965c65c8904ebf16fb2beaa95a23ffbdfffae",
-        "8d7bbd586a29d7d5edd82fb2d894bf329c474f83732ebd23f8521075901e3cc4",
-        "9b2c4be44589aaa01591aad8e7c80b0f83789ceb2182f8926240e39af6f8f058",
+        "665070cc0e2062682871dd3bff8ff3ddbb76869e42de2961628c1e89d6113f98",
+        "f95c32aee1e887efa2682dbd4afb63a4a58c48b5339315bd2ec39503f1a46315",
+        "f4f8d3fdbd51c15fd968df5adf0854fbcaf7e6dc7b98b481da65233c6cde3fa7",
     ),
 }
 

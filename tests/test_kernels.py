@@ -1,6 +1,7 @@
 """The numpy kernels agree with term-by-term reference loops."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,14 +15,15 @@ from levyou.simulate import _step_gaussian_cholesky
 
 # A jump is a uniform u, whose span*u is its time s to the end of the span,
 # and l = log(1 - v) for a uniform v, whose -l/alpha is its size y.  The
-# loops write the weights unfolded, as the model states them.
+# loops write the weights unfolded, as the model states them, with the
+# integrated decay k(s) = -expm1(-lam*s)/lam.
 
 def segment_weighted_sums_ref(tau, sizes, offsets, lam, beta, rho, T, alpha):
     out = np.zeros(offsets.size - 1)
     for i in range(offsets.size - 1):
         s = 0.0
         for j in range(offsets[i], offsets[i + 1]):
-            w = rho + beta * (-math.expm1(-lam * T * tau[j])) / lam
+            w = rho + beta * (-math.expm1(-lam * (T * float(tau[j])))) / lam
             s += w * (-sizes[j] / alpha)
         out[i] = s
     return out
@@ -33,10 +35,10 @@ def jump_step_sums_ref(jt, js, offsets, lam, dt, alpha):
     ij = np.zeros(n)
     for k in range(n):
         for j in range(offsets[k], offsets[k + 1]):
-            e = math.exp(-lam * dt * jt[j])
+            s = dt * jt[j]
             y = -js[j] / alpha
-            dxj[k] += e * y
-            ij[k] += (1.0 - e) / lam * y
+            dxj[k] += math.exp(-lam * s) * y
+            ij[k] += -math.expm1(-lam * s) / lam * y
     return dxj, ij
 
 
@@ -59,15 +61,21 @@ def path_recursion_ref(x0, q, eta_d, drift_x, drift_i, a11, a21, a22,
 # kernels must give their bits exactly.
 
 def segment_weights_formula(tau, sizes, lam, beta, rho, T, alpha):
-    return (np.exp(tau * (-lam * T)) * (beta / (lam * alpha))
-            - (rho + beta / lam) / alpha) * sizes
+    z = tau * max(-lam * T, -sys.float_info.max)
+    return (np.expm1(z) * (beta / (lam * alpha)) - rho / alpha) * sizes
+
+
+def jump_step_sums_terms(jt, js, lam, dt, alpha):
+    """The terms m*y of ij (before the division by -lam) and m*y + y of dxj,
+    with m = expm1(-lam*s), and the sizes y."""
+    m = np.expm1(jt * max(-lam * dt, -sys.float_info.max))
+    y = js * (-1.0 / alpha)
+    return m * y, m * y + y, y
 
 
 def jump_step_sums_formula(jt, js, offsets, lam, dt, alpha):
-    e = np.exp(jt * (-lam * dt))
-    y = js * (-1.0 / alpha)
-    return (_kernels._segment_sums(e * y, offsets),
-            _kernels._segment_sums((1.0 - e) / lam * y, offsets))
+    my, ey, _ = jump_step_sums_terms(jt, js, lam, dt, alpha)
+    return _kernels._segment_sums(ey, offsets), _kernels._segment_sums(my, offsets) / -lam
 
 
 def path_recursion_formula(x0, q, eta_d, drift_x, drift_i, a11, a21, a22,
@@ -123,10 +131,13 @@ def jump_workload(rng):
 
 
 # (lam, beta, rho, T, alpha): positive weights, negative ones (beta < 0 and
-# rho < 0), and the degenerate rho = -beta/lam, where the kernel's
-# subtraction of (rho + beta/lam)/alpha is exact
+# rho < 0), the degenerate rho = -beta/lam, where the weight rho + beta*k(s)
+# falls to beta*exp(-lam*s)/lam; lam*T = 1e-12 and 4e-19, where exp(-lam*s)
+# is 1 to within an ulp or two and only expm1 keeps k(s) = s; and
+# lam*T = 1e310, which overflows
 WEIGHT_MODELS = [(1.0, 1.0, 0.5, 10.0, 1.0), (0.7, -1.2, -0.4, 6.0, 1.3),
-                 (1.0, 1.0, -1.0, 10.0, 1.5)]
+                 (1.0, 1.0, -1.0, 10.0, 1.5), (1e-13, 1.0, 0.5, 10.0, 1.0),
+                 (1e-20, -1.2, -0.4, 40.0, 1.3), (1e300, 1.0, 0.5, 1e10, 1.5)]
 
 
 def test_segment_weighted_sums_match_reference(jump_workload):
@@ -152,11 +163,21 @@ def test_segment_weighted_sums_exact_per_segment_at_high_intensity(rng):
 
 
 def test_segment_weighted_sums_builds_the_weights_in_tau(jump_workload):
-    # the terms are the formula's bits, and so are their segment sums
+    # Each term is the model's weight times the size to within 1e-15 of
+    # (|rho| + |beta|*k(s))/alpha*|l|, the scale of the kernel's comment
+    # (the term's own size where rho and beta*k(s) do not cancel), in every
+    # model, however small lam*T; and the terms are the folded formula's
+    # bits, and so are their segment sums.
     for model in WEIGHT_MODELS:
+        lam, beta, rho, T, alpha = model
         tau, sizes, offsets = (a.copy() for a in jump_workload)
+        with np.errstate(over="ignore"):  # lam*s overflows in the last model
+            k = -np.expm1(-lam * (T * tau)) / lam
+        model_terms = (rho + beta * k) * (-sizes / alpha)
+        scale = (abs(rho) + abs(beta) * k) / alpha * np.abs(sizes)
         terms = segment_weights_formula(tau, sizes, *model)
         got = _kernels.segment_weighted_sums(tau, sizes, offsets, *model)
+        assert np.all(np.abs(tau - model_terms) <= 1e-15 * scale), model
         assert np.array_equal(tau, terms)
         assert np.array_equal(got, _kernels._segment_sums(terms, offsets))
 
@@ -202,32 +223,44 @@ def test_jump_step_sums_at_the_ends_of_the_uniforms():
     for g, r in zip(got, ref):
         assert np.all(np.isfinite(g))
         np.testing.assert_allclose(g, r, rtol=1e-13, atol=1e-14)
-    # a zero size adds exactly 0; jt and js now hold exp(-lam*s) and the sizes
+    # a zero size adds exactly 0; jt and js now hold exp(-lam*s)*y and the
+    # sizes y, and a jump at u = 0 (s = 0) adds its size to dxj and 0 to ij
     dxj, ij = got
     assert dxj[0] == ij[0] == 0.0
-    assert dxj[1] == jt[1] * js[1] and ij[1] == (1.0 - jt[1]) / 0.8 * js[1]
+    assert jt[2] == js[2] == 0.0 and dxj[1] == jt[1] == js[1] and ij[1] == 0.0
 
 
-def test_jump_step_sums_match_reference(rng):
+# (lam, dt): a usual step, lam*dt = 1e-14 and 4e-22, where 1 - exp(-lam*s)
+# is rounding noise, and lam*dt = 40, where exp(-lam*s) is below an ulp of 1
+# for most jumps
+STEP_MODELS = [(0.8, 0.05), (1e-13, 0.1), (1e-20, 0.04), (0.8, 50.0)]
+
+
+@pytest.mark.parametrize("lam, dt", STEP_MODELS)
+def test_jump_step_sums_match_reference(rng, lam, dt):
     counts = rng.poisson(0.2, 2000)  # mostly empty steps
     offsets = _offsets(counts)
     jt = rng.random(offsets[-1])
     js = np.log(1.0 - rng.random(offsets[-1]))
-    ref = jump_step_sums_ref(jt, js, offsets, 0.8, 0.05, 1.5)  # before jt, js are overwritten
-    got = _kernels.jump_step_sums(jt, js, offsets, 0.8, 0.05, 1.5)
+    ref = jump_step_sums_ref(jt, js, offsets, lam, dt, 1.5)  # before jt, js are overwritten
+    got = _kernels.jump_step_sums(jt, js, offsets, lam, dt, 1.5)
     for g, r in zip(got, ref):
         np.testing.assert_allclose(g, r, rtol=1e-13, atol=1e-14)
         assert np.all(g[counts == 0] == 0.0)
 
 
-def test_jump_step_sums_are_the_formulas_bits_and_overwrite_jt(jump_workload):
-    # jt is overwritten by exp(-lam*s) and js by the sizes
+@pytest.mark.parametrize("lam, dt", STEP_MODELS)
+def test_jump_step_sums_are_the_formulas_bits_and_overwrite_jt(jump_workload, lam, dt):
+    # jt is overwritten by the terms exp(-lam*s)*y, as m*y + y, and js by
+    # the sizes y; each term is within 4 ulp of |y| of the model's
     jt, js, offsets = jump_workload
-    want = jump_step_sums_formula(jt, js, offsets, 0.8, 10.0, 1.5)
-    e, y = np.exp(jt * (-0.8 * 10.0)), js * (-1.0 / 1.5)
-    got = _kernels.jump_step_sums(jt, js, offsets, 0.8, 10.0, 1.5)
+    want = jump_step_sums_formula(jt, js, offsets, lam, dt, 1.5)
+    _, ey, y = jump_step_sums_terms(jt, js, lam, dt, 1.5)
+    model_ey = np.exp(-lam * (dt * jt)) * (-js / 1.5)
+    got = _kernels.jump_step_sums(jt, js, offsets, lam, dt, 1.5)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert np.array_equal(jt, e) and np.array_equal(js, y)
+    assert np.array_equal(jt, ey) and np.array_equal(js, y)
+    assert np.all(np.abs(jt - model_ey) <= 4 * np.finfo(float).eps * np.abs(y))
 
 
 def test_jump_step_sums_no_jumps():

@@ -157,7 +157,7 @@ def path_digest(model, T, n_steps):
 
 
 # Each case's digest as the sampler gives it with sizes by inversion and the
-# kernels' constants folded, recorded with numpy 2.4 on x86-64 under two
+# kernels' constants folded into their expm1 forms, recorded with numpy 2.4 on x86-64 under two
 # float canaries: with and without numpy's AVX-512 exp, expm1 and log
 # (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR").  jumps-T40's
 # drift takes the correctly rounded kernel weight W_1 = 96 + 4 e^{-20} at
@@ -174,16 +174,16 @@ DIGEST_CASES = {
 }
 RECORDED_DIGESTS = {
     "af6c5de4a420a779": {
-        "jumps-T40": "4f612cf4b58f382bb091e34ebf6c56d69430cf29679488708db68fbd08b7d4fd",
-        "acc06-T20": "424117f290d4991a75059f81c670ac3d0cf21d40d81a20d5592b88ce87287af3",
-        "acc06-T20-one-run": "006caf43e3c43ad3423795c6487cab9bb464151bbe989d1fc0537800ed97f92c",
-        "path-T4000": "f930e0e89a7795561523bf3507af260aaf55374e719748d0dd5617d29e5f90eb",
+        "jumps-T40": "61c75b639462e1676cd856620b8d77414eadaf0f9a8962e5a633fb49ec3ddb49",
+        "acc06-T20": "634fb30ccc388cca7aa2c7234a6c672b736cd14b138b9e810ae0f88841651770",
+        "acc06-T20-one-run": "5350fb8681e22304de8a44ab0000256b26d40e1c5739bbb2c4e18cbcb59abc8c",
+        "path-T4000": "335217348174401d17a360f1b0c2c6466296f7170e4104ec81e3f63e3b0304b9",
     },
     "150bdcdaa4cc9966": {
-        "jumps-T40": "e56871e536e0813f0c2bd41a2bd3db5ea1b99a41921682e999cd36ff7be7496f",
-        "acc06-T20": "f4abb69fc438bdb81ca2c683259293779781d43aa0a9d2adccb3beadfc94d577",
-        "acc06-T20-one-run": "7c1e82292a817af3196d8e4f752e1904e9cd326d8b6350e40686027c202e029f",
-        "path-T4000": "1c244a8bb8372b4fbe1f578965e9e55b150ea60cd8f139e53563dfb71fc3fb1b",
+        "jumps-T40": "612c873993cc069fcf0e03fceac229312c720c2aea34c511dab49774d63562f8",
+        "acc06-T20": "ec238d44aa2eca45d4c3b00a3fc067b150b9e75c70c78fc2c6129209bde4cb47",
+        "acc06-T20-one-run": "781f0c3dc985c5f15b93a3d59e78a6a049a41f1637f519725cd64b34b201d8bf",
+        "path-T4000": "d25be67d8d0f55f655161342d5c0022bfc9fcd4c67a61b049796ca11ece42205",
     },
 }
 
@@ -430,7 +430,8 @@ class TestSampleDeviation:
 
     def test_path_jump_sums_hold_three_blocks(self):
         # a path at c*T = 2e6 on 64 steps, runs of ~2 steps of ~31k jumps:
-        # the run's two buffers and jump_step_sums' one product buffer
+        # the run's two buffers, in which jump_step_sums builds its terms;
+        # the bound leaves room for a third
         params = ModelParams(lam=0.5, gamma=0.1, beta=1.0, rho=0.5)
         driver = DriverSpec.mixed(b=0.8, C=1.0, c=5e4, alpha=1.5)
         n = 64
