@@ -236,31 +236,32 @@ def test_jump_step_sums_at_the_ends_of_the_uniforms():
 STEP_MODELS = [(0.8, 0.05), (1e-13, 0.1), (1e-20, 0.04), (0.8, 50.0)]
 
 
-@pytest.mark.parametrize("lam, dt", STEP_MODELS)
-def test_jump_step_sums_match_reference(rng, lam, dt):
+def test_jump_step_sums_match_reference(rng):
     counts = rng.poisson(0.2, 2000)  # mostly empty steps
     offsets = _offsets(counts)
-    jt = rng.random(offsets[-1])
-    js = np.log(1.0 - rng.random(offsets[-1]))
-    ref = jump_step_sums_ref(jt, js, offsets, lam, dt, 1.5)  # before jt, js are overwritten
-    got = _kernels.jump_step_sums(jt, js, offsets, lam, dt, 1.5)
-    for g, r in zip(got, ref):
-        np.testing.assert_allclose(g, r, rtol=1e-13, atol=1e-14)
-        assert np.all(g[counts == 0] == 0.0)
+    u = rng.random(offsets[-1])
+    l = np.log(1.0 - rng.random(offsets[-1]))
+    for lam, dt in STEP_MODELS:
+        jt, js = u.copy(), l.copy()
+        ref = jump_step_sums_ref(jt, js, offsets, lam, dt, 1.5)
+        got = _kernels.jump_step_sums(jt, js, offsets, lam, dt, 1.5)
+        for g, r in zip(got, ref):
+            np.testing.assert_allclose(g, r, rtol=1e-13, atol=1e-14)
+            assert np.all(g[counts == 0] == 0.0)
 
 
-@pytest.mark.parametrize("lam, dt", STEP_MODELS)
-def test_jump_step_sums_are_the_formulas_bits_and_overwrite_jt(jump_workload, lam, dt):
+def test_jump_step_sums_are_the_formulas_bits_and_overwrite_jt(jump_workload):
     # jt is overwritten by the terms exp(-lam*s)*y, as m*y + y, and js by
     # the sizes y; each term is within 4 ulp of |y| of the model's
-    jt, js, offsets = jump_workload
-    want = jump_step_sums_formula(jt, js, offsets, lam, dt, 1.5)
-    _, ey, y = jump_step_sums_terms(jt, js, lam, dt, 1.5)
-    model_ey = np.exp(-lam * (dt * jt)) * (-js / 1.5)
-    got = _kernels.jump_step_sums(jt, js, offsets, lam, dt, 1.5)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert np.array_equal(jt, ey) and np.array_equal(js, y)
-    assert np.all(np.abs(jt - model_ey) <= 4 * np.finfo(float).eps * np.abs(y))
+    for lam, dt in STEP_MODELS:
+        jt, js, offsets = (a.copy() for a in jump_workload)
+        want = jump_step_sums_formula(jt, js, offsets, lam, dt, 1.5)
+        _, ey, y = jump_step_sums_terms(jt, js, lam, dt, 1.5)
+        model_ey = np.exp(-lam * (dt * jt)) * (-js / 1.5)
+        got = _kernels.jump_step_sums(jt, js, offsets, lam, dt, 1.5)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(jt, ey) and np.array_equal(js, y)
+        assert np.all(np.abs(jt - model_ey) <= 4 * np.finfo(float).eps * np.abs(y)), (lam, dt)
 
 
 def test_jump_step_sums_no_jumps():
