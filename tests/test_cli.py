@@ -45,8 +45,8 @@ THETA_HAT_DIGESTS = {
 
 # path_000.csv .. path_003.csv of TestSimulateCommand's benchmark op, as
 # written with jump sizes by inversion and the kernels' constants folded into
-# their expm1 forms, recorded with numpy 2.4 on x86-64 under test_simulate's two float canaries,
-# which give these paths the same bits.
+# their expm1 forms, recorded with numpy 2.4 on x86-64 under test_simulate's
+# two float canaries, which give these paths the same bits.
 SIMULATE_DIGESTS = {
     "af6c5de4a420a779": (
         "3fc36ce1b96cdf33cb8c6b3fc0a93cfc0054b98c62c3d3dca4767fe8f6c15c16",

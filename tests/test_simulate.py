@@ -157,9 +157,10 @@ def path_digest(model, T, n_steps):
 
 
 # Each case's digest as the sampler gives it with sizes by inversion and the
-# kernels' constants folded into their expm1 forms, recorded with numpy 2.4 on x86-64 under two
-# float canaries: with and without numpy's AVX-512 exp, expm1 and log
-# (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR").  jumps-T40's
+# kernels' constants folded into their expm1 forms, recorded with numpy 2.4
+# on x86-64 under two float canaries: with and without numpy's AVX-512
+# exp, expm1 and log (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+# AVX512_SPR").  jumps-T40's
 # drift takes the correctly rounded kernel weight W_1 = 96 + 4 e^{-20} at
 # T = 40.
 DIGEST_CASES = {
