@@ -8,7 +8,8 @@ closed-form cumulants, and packages everything into a reproducible report.
 Reproducibility contract: replicate draws are organized in fixed-size chunks
 whose RNG streams derive from (seed, horizon index, chunk index) only, and
 results are written into preallocated slots, so reports are byte-identical
-for any worker count.
+for any worker count.  Validation reduces each chunk's draws to fixed-size
+sums in the thread that draws it, so it never holds a horizon's draws.
 """
 
 from __future__ import annotations
@@ -38,12 +39,9 @@ __all__ = [
     "convergence_study",
 ]
 
-# Replicates per RNG stream.  Fixed so that the sample array depends only on
-# (seed, horizon index) and never on scheduling or worker count.
+# Replicates per RNG stream and per slice of k_statistics' sums.  Fixed so that
+# the draws depend only on (seed, horizon index), never on scheduling or workers.
 CHUNK = 4096
-
-# Samples per block of k_statistics' passes: 256 KB of float64 stays in cache.
-_LEAF = 1 << 15
 # Sorted draws per block of the KS pass, whose expansion CDF holds a Python
 # float per draw and a few arrays besides: ~650 KB of temporaries a block.
 _KS_BLOCK = 1 << 13
@@ -68,28 +66,59 @@ class KStatistics:
     se: np.ndarray
 
 
+def _indicator(below: float, n: int) -> tuple[float, float]:
+    """The proportion below/n with its binomial standard error."""
+    p_hat = below / n
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n)
+
+
 def estimate_indicator(samples: np.ndarray, a: float) -> tuple[float, float]:
     """Proportion of samples <= a with its binomial standard error."""
     n = samples.size
     if n < 2:
         raise ValueError("need at least two samples")
-    p_hat = float(np.count_nonzero(samples <= a)) / n
-    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n)
+    return _indicator(float(np.count_nonzero(samples <= a)), n)
 
 
-def _pairwise_sum(f, n: int, start: int = 0):
-    """f(i0, i1) summed over blocks of range(start, start + n) in numpy's order.
+def _moment_sums(x: np.ndarray, order: int) -> np.ndarray:
+    """[count, sum, S_1..S_order] of x in two passes: S_k = sum (x - sum/count)^k."""
+    row = np.empty(order + 2)
+    row[0], row[1] = x.size, np.add.reduce(x)
+    d = x - row[1] / x.size
+    power = d.copy()
+    for k in range(2, order + 2):
+        row[k] = np.add.reduce(power)
+        power *= d
+    return row
 
-    numpy's add.reduce sums a contiguous float64 array pairwise, halving any
-    range of more than 128 values at n//2 rounded down to a multiple of 8.
-    Halving the same way down to blocks of at most _LEAF values, each summed
-    by f with add.reduce, gives the whole array's sum bit for bit.  f may
-    return an array of sums, which are then combined elementwise.
-    """
-    if n <= _LEAF:
-        return f(start, start + n)
-    n2 = n // 2 - (n // 2) % 8
-    return _pairwise_sum(f, n2, start) + _pairwise_sum(f, n - n2, start + n2)
+
+def _k_from_sums(rows: np.ndarray, r_max: int) -> KStatistics:
+    """k_statistics from the `_moment_sums` rows of a sample's slices: each
+    row moves to the sample's mean by sum_j C(k, j) S_j delta^(k-j), delta the
+    slice's mean less the sample's (Pebay, SAND2008-6212, section 2), and the
+    rows are summed pairwise.  delta first drops the mean's rounding."""
+    order = 2 * r_max
+    counts, sums = rows[:, 0], rows[:, 1]
+    n = int(np.add.reduce(counts))
+    mean = float(np.add.reduce(sums)) / n
+    delta = sums / counts - mean
+    delta -= np.add.reduce(rows[:, 2] + counts * delta) / n
+    # delta^0..delta^order as products: np.power's AVX-512 loop rounds otherwise
+    powers = np.cumprod([np.ones_like(delta)] + [delta] * order, axis=0)
+    shifted = np.zeros((9, rows.shape[0]))  # row k: each slice's sum (x - mean)^k
+    for k in range(2, order + 1):
+        for j in range(k + 1):
+            shifted[k] += math.comb(k, j) * rows[:, j + 1 if j else 0] * powers[k - j]
+    _, _, m2, m3, m4, m5, m6, m7, m8 = (np.add.reduce(shifted, axis=1) / n).tolist()
+    values = [mean, n * m2 / (n - 1), r_max > 2 and n * n * m3 / ((n - 1) * (n - 2)),
+              r_max > 3 and n * n * ((n + 1) * m4 - 3 * (n - 1) * m2 * m2)
+              / ((n - 1) * (n - 2) * (n - 3))]
+    # mean(IF_r^2) as polynomials in the central moments (mean(d) = 0)
+    influence = (m2, m4 - m2 * m2, m6 - 6.0 * m2 * m4 - m3 * m3 + 9.0 * m2 * m2 * m2,
+                 m8 - 12.0 * m2 * m6 - 8.0 * m3 * m5 - m4 * m4 + 48.0 * m2 * m2 * m4
+                 + 64.0 * m2 * m3 * m3 - 36.0 * m2 * m2 * m2 * m2)
+    return KStatistics(values=np.array(values[:r_max]),
+                       se=np.sqrt(np.maximum(influence[:r_max], 0.0) / n))
 
 
 def k_statistics(samples: np.ndarray, r_max: int = 4) -> KStatistics:
@@ -103,12 +132,14 @@ def k_statistics(samples: np.ndarray, r_max: int = 4) -> KStatistics:
     IF_2 = d^2 - m2, IF_3 = d^3 - m3 - 3*m2*d,
     IF_4 = d^4 - m4 - 4*m3*d - 6*m2*(d^2 - m2).  n*SE^2 tends to the k-statistic
     variances of Kendall & Stuart vol. 1 ch. 12, e.g. 1, 2, 6, 24 for N(0, 1).
+    Each mean(IF_r^2) is expanded as a polynomial in m_2..m_2r and clipped at
+    0 before the square root.
 
-    Three passes over blocks of at most _LEAF samples (the mean, then m2..m4,
-    then the squared influences) keep the temporaries block-sized.  The block
-    sums are combined in add.reduce's pairwise order, so every value equals
-    its whole-array formula (`samples.mean()`, `np.mean(d * d)`, ...) bit
-    for bit.
+    The sums over CHUNK-sized slices are combined as `run_validation` does
+    with its chunks, so the two agree bit for bit.  Each value and SE is as
+    accurate as the whole-array formulas, except that where the influence
+    variance nearly cancels (a near two-point law) the SE is accurate only to
+    about sqrt(eps * m_2r / n) in absolute terms.
     """
     if not 1 <= r_max <= 4:
         raise ValueError("r_max must be between 1 and 4")
@@ -116,64 +147,46 @@ def k_statistics(samples: np.ndarray, r_max: int = 4) -> KStatistics:
     n = samples.size
     if n < max(2, r_max):
         raise ValueError(f"need at least {max(2, r_max)} samples, got {n}")
-    mean = float(_pairwise_sum(lambda i, j: np.add.reduce(samples[i:j]), n) / n)
-
-    def deviations(i, j):
-        d = samples[i:j] - mean
-        return d, d * d
-
-    def central(i, j):
-        d, d2 = deviations(i, j)
-        return np.array([np.add.reduce(d2), np.add.reduce(d2 * d), np.add.reduce(d2 * d2)])
-
-    m2, m3, m4 = (float(s) for s in _pairwise_sum(central, n) / n)
-    values = np.empty(r_max)
-    values[0] = mean
-    if r_max >= 2:
-        values[1] = n * m2 / (n - 1)
-    if r_max >= 3:
-        values[2] = n * n * m3 / ((n - 1) * (n - 2))
-    if r_max >= 4:
-        values[3] = n * n * ((n + 1) * m4 - 3 * (n - 1) * m2 * m2) / ((n - 1) * (n - 2) * (n - 3))
-    influences = (lambda d, d2: d, lambda d, d2: d2 - m2,
-                  lambda d, d2: d2 * d - m3 - 3.0 * m2 * d,
-                  lambda d, d2: d2 * d2 - m4 - 4.0 * m3 * d - 6.0 * m2 * (d2 - m2))[:r_max]
-
-    def squared(i, j):
-        d, d2 = deviations(i, j)
-        return np.array([np.add.reduce(np.square(f(d, d2))) for f in influences])
-
-    se = [math.sqrt(float(s) / n) for s in _pairwise_sum(squared, n) / n]
-    return KStatistics(values=values, se=np.array(se))
+    return _k_from_sums(np.array([_moment_sums(samples[lo:lo + CHUNK], 2 * r_max)
+                                  for lo in range(0, n, CHUNK)]), r_max)
 
 
 def draw_normalized_samples(params: ModelParams, driver: DriverSpec, T: float,
                             n: int, seed: int, workers: int = 1,
-                            stream_tag: int = 0) -> np.ndarray:
+                            stream_tag: int = 0, reduce=None) -> np.ndarray:
     """n exact draws of the normalized deviation T^{-1/2}(Y_T - E[Y_T]).
 
     Chunked into fixed CHUNK-sized blocks with per-block streams keyed by
     (seed, stream_tag, block index), each drawn into its own slot of the
     output by a pool of max(workers, 1) threads, so the output is
-    independent of `workers`.  An exception raised while drawing a chunk,
-    KeyboardInterrupt included, cancels the chunks not yet started and is
-    raised here.
+    independent of `workers`.  With `reduce`, each chunk's draws go to
+    `reduce(draws)` in its thread instead, and the fixed-length vectors it
+    returns come back as one array, a row per chunk.  An exception raised
+    while drawing a chunk, KeyboardInterrupt included, cancels the chunks not
+    yet started and is raised here.
     """
     # imported here so that `import levyou` does not pay for it (and logging's)
     from concurrent.futures import ThreadPoolExecutor
 
-    out = np.empty(n)
+    out = np.empty(n) if reduce is None else None
     jobs = [(ci, lo, min(lo + CHUNK, n))
             for ci, lo in enumerate(range(0, n, CHUNK))]
 
     def work(job):
         ci, lo, hi = job
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_tag, ci)))
-        out[lo:hi] = sample_deviation(params, driver, T, rng, size=hi - lo)
+        draws = sample_deviation(params, driver, T, rng, size=hi - lo)
+        draws /= math.sqrt(T)
+        if reduce is not None:
+            return reduce(draws)
+        out[lo:hi] = draws
 
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as ex:
-        list(ex.map(work, jobs))
-    out /= math.sqrt(T)
+        for ci, row in enumerate(ex.map(work, jobs)):
+            if reduce is not None:
+                if out is None:
+                    out = np.empty((len(jobs), row.size))
+                out[ci] = row
     return out
 
 
@@ -217,10 +230,13 @@ class MCReport:
 def run_validation(cfg: ExperimentConfig) -> MCReport:
     """Run the full experiment described by cfg; deterministic given the seed.
 
-    On KeyboardInterrupt the horizons completed so far are kept, with no
-    cell or cumulant row of the interrupted one, and the report is marked
-    partial.  Raises ValueError before drawing anything when a chunk of any
-    horizon expects more jumps than MAX_EXPECTED_JUMPS.
+    Each chunk of draws becomes a row of `_moment_sums` and test-point
+    counts (~100 bytes), whose sums give the bits of `estimate_indicator`
+    and `k_statistics` on the whole draw array.  On KeyboardInterrupt the
+    horizons completed so far are kept, with no cell or cumulant row of the
+    interrupted one, and the report is marked partial.  Raises ValueError
+    before drawing anything when a chunk of any horizon expects more jumps
+    than MAX_EXPECTED_JUMPS.
     """
     for T in cfg.T_grid:
         _check_jump_budget(cfg.driver, T, min(CHUNK, cfg.n_samples))
@@ -229,17 +245,23 @@ def run_validation(cfg: ExperimentConfig) -> MCReport:
     cells: list[dict] = []
     cumulant_rows: list[dict] = []
     partial = False
+
+    def chunk_sums(draws):  # k_statistics' sums for r_max = 4, then the cell counts
+        return np.concatenate((_moment_sums(draws, 8),
+                               [np.count_nonzero(draws <= a) for a in cfg.test_points]))
+
     try:
         for t_idx, T in enumerate(cfg.T_grid):
-            samples = draw_normalized_samples(cfg.params, cfg.driver, T,
-                                              cfg.n_samples, cfg.seed,
-                                              workers=workers, stream_tag=t_idx)
+            rows = draw_normalized_samples(cfg.params, cfg.driver, T,
+                                           cfg.n_samples, cfg.seed, workers=workers,
+                                           stream_tag=t_idx, reduce=chunk_sums)
             table = cfg.table(T)
             ecs = {p: expansion_coefficients(p, table)
                    for p in set(cfg.p_orders) | {2}}
             horizon_cells = []
-            for a in cfg.test_points:
-                emp, se = estimate_indicator(samples, a)
+            counts = np.add.reduce(rows[:, 10:], axis=0)  # after the 10 moment sums; exact
+            for a, count in zip(cfg.test_points, counts):
+                emp, se = _indicator(float(count), cfg.n_samples)
                 psi2 = cdf(a, ecs[2])
                 informative = abs(emp - psi2) > 4.0 * se
                 for p in cfg.p_orders:
@@ -250,15 +272,13 @@ def run_validation(cfg: ExperimentConfig) -> MCReport:
                         "psi_p": below, "gap": abs(emp - below),
                         "informative": bool(informative),
                     })
-            ks = k_statistics(samples, r_max=4)
+            ks = _k_from_sums(rows, r_max=4)
             # an interrupted horizon leaves neither cells nor cumulant rows
             cells += horizon_cells
             cumulant_rows += [{"T": T, "r": r, "k_stat": float(ks.values[r - 1]),
                                "se": float(ks.se[r - 1]),
                                "predicted": 0.0 if r == 1 else table.get(r)}
                               for r in range(1, 5)]
-            # the next horizon's draws need not coexist with these
-            del samples
     except KeyboardInterrupt:
         partial = True
     cum_fail = [f"T={row['T']} r={row['r']}" for row in cumulant_rows

@@ -117,9 +117,28 @@ def driver_cumulants(driver: DriverSpec, r_max: int) -> CumulantVector:
     for k in range(2, r_max + 1):
         v = driver.C if k == 2 else 0.0
         if driver.has_jumps:
-            v += driver.c * math.factorial(k) / driver.alpha ** k
+            v += _jump_cumulant(driver.c, driver.alpha, k)
         vals.append(v)
     return CumulantVector(CumulantKind.DRIVER, tuple(vals))
+
+
+def _jump_cumulant(c: float, alpha: float, k: int) -> float:
+    """c * k! / alpha**k, the order-k cumulant of Exp(alpha) jumps at rate c.
+
+    Where alpha**k overflows, the value is c * k! * (1/alpha)**k, which may
+    underflow to 0; a value beyond float range raises an OverflowError that
+    names it.
+    """
+    try:
+        v = c * math.factorial(k) / alpha ** k
+    except OverflowError:
+        v = c * math.factorial(k) * (1.0 / alpha) ** k
+    except ZeroDivisionError:  # alpha**k underflowed
+        v = math.inf
+    if not math.isfinite(v):
+        raise OverflowError(f"driver cumulant of order {k}, c*{k}!/alpha**{k} at "
+                            f"alpha = {alpha!r}, is beyond float range")
+    return v
 
 
 def sample_stationary_state(driver: DriverSpec, lam: float, rng: np.random.Generator,

@@ -34,13 +34,14 @@ from test_simulate import float_canary
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_gamma_ou.json"
 
 # theta_hat.json of TestThetaHatCommand's benchmark op, as written with jump
-# sizes by inversion and the kernels' constants folded into their expm1
-# forms, recorded with numpy 2.4 on x86-64 under test_simulate's two float
-# canaries (with and without AVX-512 exp, expm1 and log), which give this
-# file the same bits.
+# sizes by inversion, the kernels' constants folded into their expm1 forms
+# and the k-statistics combined from CHUNK-sized slices, recorded with
+# numpy 2.4 on x86-64 under test_simulate's two float canaries (with and
+# without AVX-512 exp, expm1 and log).  The draws differ in their last bits
+# between the two, and so do `bias` and `var_se_boot`.
 THETA_HAT_DIGESTS = {
-    "af6c5de4a420a779": "8584f2864cf8d0eeaebfee865a22e1dbe8b7704b695877688577370abab17d0c",
-    "150bdcdaa4cc9966": "8584f2864cf8d0eeaebfee865a22e1dbe8b7704b695877688577370abab17d0c",
+    "af6c5de4a420a779": "14dc1cce62c10d6eb03be8972101cd3f60fa090f7de7daccdd125042d33feab4",
+    "150bdcdaa4cc9966": "dd62b7ac63d9df5996cf909db3939e1af1857f24949357e7781673c17bfa988a",
 }
 
 # path_000.csv .. path_003.csv of TestSimulateCommand's benchmark op, as
@@ -249,19 +250,22 @@ def test_jump_budget_is_checked_before_any_draw(subcommand, horizons, write_conf
 
 
 @pytest.mark.parametrize("subcommand, overrides, names", [
-    ("cumulants", ["driver.alpha=1e-200"], None),  # ZeroDivisionError
+    ("cumulants", ["driver.alpha=1e-200"], "driver cumulant of order 2"),  # OverflowError
+    # alpha**4 underflows to 0, where the cumulant would divide by zero
+    ("cumulants", ["driver.alpha=1e-100"], "driver cumulant of order 4"),  # OverflowError
     ("cumulants", ["p_orders=[12]", "T_grid=[1e300]"], "scaled"),  # OverflowError
     ("cumulants", ["p_orders=[12]", "params.lam=1e-30", "T_grid=[1e40]"], None),  # OverflowError
     # a kernel weight integral beyond float range, which numpy would give as inf
     ("cumulants", ["p_orders=[12]", "params.lam=1e-25", "T_grid=[1e40]"], None),  # OverflowError
-    ("density", ["driver.alpha=1e-30", "p_orders=[12]"], None),  # ZeroDivisionError
+    ("density", ["driver.alpha=1e-30", "p_orders=[12]"],
+     "driver cumulant of order 11"),  # OverflowError
     # T**-3.5 at T = 1e-100, in the normalized cumulant of order 9
     ("density", ["T_grid=[1e-100]", "p_orders=[12]"], "normalized cumulant"),  # OverflowError
     # 8 PB of grid, beyond the address space, so the allocation fails at once
     ("density", ["density_grid.n=1000000000000000"], None),  # MemoryError
     ("cumulants", None, None),  # --out names an existing file: FileExistsError
-], ids=["alpha-tiny", "T-huge", "lam-tiny", "lam-tiny-weight-inf", "density-alpha-tiny",
-        "density-T-tiny", "grid-huge", "out-is-file"])
+], ids=["alpha-tiny", "alpha-tiny-order-4", "T-huge", "lam-tiny", "lam-tiny-weight-inf",
+        "density-alpha-tiny", "density-T-tiny", "grid-huge", "out-is-file"])
 def test_schema_valid_extremes_exit_2(subcommand, overrides, names, tmp_path, capsys):
     out = tmp_path / "out"
     if overrides is None:
@@ -273,6 +277,16 @@ def test_schema_valid_extremes_exit_2(subcommand, overrides, names, tmp_path, ca
     assert "config error" in err and "Traceback" not in err
     if names is not None:  # the message names the quantity that overflowed
         assert names in err, err
+
+
+def test_huge_alpha_gives_finite_cumulants(tmp_path, capsys):
+    # alpha**4 overflows at alpha = 1e100; c * k! * (1/alpha)**k does not
+    extra = ["--set", "driver.alpha=1e100", "--format", "json"]
+    assert run_cli("cumulants", EXAMPLE, tmp_path, *extra) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = json.loads((tmp_path / "cumulants.json").read_text())["rows"]
+    assert rows and all(math.isfinite(row[key]) for row in rows
+                        for key in ("cumulant", "scaled", "limit"))
 
 
 def test_huge_lam_cumulants_equal_their_limits(tmp_path):

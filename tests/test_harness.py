@@ -1,8 +1,10 @@
 """Estimators, report plumbing, determinism, and the estimator demo."""
 
+import decimal
 import io
 import math
 import tracemalloc
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
@@ -28,7 +30,7 @@ from levyou import (
 )
 from levyou import harness
 from levyou.config import REPORT_SCHEMA
-from levyou.harness import _ks_distance, _pairwise_sum
+from levyou.harness import _ks_distance
 
 from conftest import base_config
 
@@ -53,9 +55,19 @@ class TestEstimateIndicator:
             estimate_indicator(np.array([1.0]), 0.0)
 
 
-# sample sizes around the 2^15-sample blocks of k_statistics and numpy's
-# 8-aligned pairwise splits
-BLOCK_EDGES = [4, 5, 127, 128, 129, 2**15, 2**15 + 1, 2**16 + 8, 100_003, 1_000_000]
+# draws whose k-statistics are held to the exact oracle: heavy and light
+# tails, a large common offset, and the sampler's own output
+ORACLE_LAWS = {
+    "exp": lambda rng, n: rng.exponential(1.0, n) * 10.0 - 2.0,
+    "normal": lambda rng, n: rng.standard_normal(n) + 1e3,
+    "pareto": lambda rng, n: rng.pareto(5.0, n),
+    "cpexp": lambda rng, n: draw_normalized_samples(
+        ModelParams(lam=1.0, gamma=0.0, beta=1.0, rho=0.5),
+        DriverSpec.cpexp(b=1.0, c=1.0, alpha=1.0), 10.0, n, seed=n),
+    "mixed": lambda rng, n: draw_normalized_samples(
+        ModelParams(lam=0.5, gamma=0.1, beta=1.0, rho=0.5),
+        DriverSpec.mixed(b=0.8, C=1.0, c=20.0, alpha=1.5), 10.0, n, seed=n),
+}
 
 
 class TestKStatistics:
@@ -138,23 +150,27 @@ class TestKStatistics:
         np.testing.assert_allclose(ks.se, bootstrap_se(samples, np.random.default_rng(9)),
                                    rtol=0.2)
 
-    @pytest.mark.parametrize("n", BLOCK_EDGES)
-    def test_equals_the_whole_array_formulas(self, n):
-        # rounding in every sum shows up in the last bits unless the block
-        # sums are combined in add.reduce's own order
-        rng = np.random.default_rng(n)
-        x = rng.exponential(1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n) - 2.0
-        for r_max in range(1, 5):
-            got, want = k_statistics(x, r_max), reference_k_statistics(x, r_max)
-            assert np.array_equal(got.values, want.values), (r_max, got.values, want.values)
-            assert np.array_equal(got.se, want.se), (r_max, got.se, want.se)
-
-    @pytest.mark.parametrize("n", BLOCK_EDGES)
-    def test_pairwise_sum_is_numpys_order(self, n):
-        # pins numpy's split rule: should a numpy release change it, this
-        # fails instead of the report bytes moving silently
-        x = np.random.default_rng(n + 1).standard_normal(n) * 1e6 + 0.1
-        assert _pairwise_sum(lambda i, j: np.add.reduce(x[i:j]), n) == np.add.reduce(x)
+    @pytest.mark.parametrize("n", [4, 4095, 4096, 4097, 8193, 9000])
+    @pytest.mark.parametrize("law", list(ORACLE_LAWS))
+    def test_within_the_oracle_bound(self, law, n):
+        # around the CHUNK-sized slices whose sums k_statistics combines:
+        # every value and SE is within twice the whole-array formulas' own
+        # error of the exact one, or within 8 eps of its scale (the value for
+        # an SE; for k_r, the rounding that any evaluation from rounded sums
+        # carries where the terms of k_r cancel)
+        x = ORACLE_LAWS[law](np.random.default_rng(n), n)
+        got, ref = k_statistics(x), reference_k_statistics(x)
+        values, se, scales = oracle_k_statistics(x)
+        for name, exact, scale, g, r in [("k", values, scales, got.values, ref.values),
+                                         ("se", se, se, got.se, ref.se)]:
+            for i, (want, size) in enumerate(zip(exact, scale)):
+                err_got, err_ref = (abs(Fraction(float(v)) - want) for v in (g[i], r[i]))
+                bound = max(2 * err_ref, 8 * EPS * abs(size))
+                assert err_got <= bound, (name, i + 1, float(err_got / size), float(err_ref / size))
+        for r_max in (1, 2, 3):  # fewer orders: the same leading values and SEs
+            low = k_statistics(x, r_max)
+            assert np.array_equal(low.values, got.values[:r_max])
+            assert np.array_equal(low.se, got.se[:r_max])
 
     def test_memory_stays_block_sized(self):
         # the whole-array formulas peak at ~30 MB of temporaries here
@@ -181,6 +197,48 @@ def reference_k_statistics(samples, r_max=4):
                   d2 * d2 - m4 - 4.0 * m3 * d - 6.0 * m2 * (d2 - m2))
     se = [math.sqrt(float(np.mean(np.square(f))) / n) for f in influences[:r_max]]
     return KStatistics(values=np.array(values[:r_max]), se=np.array(se))
+
+
+EPS = Fraction(2) ** -52
+
+
+def oracle_k_statistics(x):
+    """Reference: the k-statistics k_1..k_4 of the float sample x and their
+    SEs in exact rational arithmetic, each SE from the mean of the squared
+    influences IF_r (as in `k_statistics`) and a 60-digit square root, and
+    the scale of each k_r: mean |x|, then the formula of k_r over absolute
+    central moments."""
+    ratios = [v.as_integer_ratio() for v in x.tolist()]
+    scale = max(q for _, q in ratios)  # a power of two, so every x * scale is an integer
+    xs = [p * (scale // q) for p, q in ratios]
+    n, total = len(xs), sum(xs)
+    y = [n * v - total for v in xs]  # d * n * scale, d = x - mean
+    big = n * scale
+
+    def k_stats(mean, m2, m3, m4, sign=-1):
+        return [mean, n * m2 / (n - 1), n * n * m3 / ((n - 1) * (n - 2)),
+                n * n * ((n + 1) * m4 + sign * 3 * (n - 1) * m2 * m2)
+                / ((n - 1) * (n - 2) * (n - 3))]
+
+    p2, p3, p4 = (sum(v ** k for v in y) for k in (2, 3, 4))
+    values = k_stats(Fraction(total, big), *(Fraction(p, n * big ** k)
+                                              for p, k in ((p2, 2), (p3, 3), (p4, 4))))
+    scales = k_stats(Fraction(sum(map(abs, xs)), big),
+                     *(Fraction(sum(abs(v) ** k for v in y), n * big ** k) for k in (2, 3, 4)),
+                     sign=1)
+    # n^(r-1) * big^r * IF_r for each draw, all integers
+    squared = [
+        Fraction(sum(v * v for v in y), big ** 2),
+        Fraction(sum((n * v * v - p2) ** 2 for v in y), n ** 2 * big ** 4),
+        Fraction(sum((n * v ** 3 - p3 - 3 * p2 * v) ** 2 for v in y), n ** 2 * big ** 6),
+        Fraction(sum((n * n * v ** 4 - n * p4 - 4 * n * p3 * v - 6 * n * p2 * v * v
+                      + 6 * p2 * p2) ** 2 for v in y), n ** 4 * big ** 8),
+    ]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        se = [Fraction((decimal.Decimal(s.numerator) / decimal.Decimal(s.denominator * n)).sqrt())
+              for s in squared]
+    return values, se, scales
 
 
 def plug_in_cumulants(x, w):
@@ -350,30 +408,69 @@ class TestRunValidation:
                                p_orders=(2, 3), n_samples=10_000, seed=8,
                                test_points=(0.0, 1.0), workers=workers)
         full = run_validation(cfg)
-        draw, kstats = harness.sample_deviation, harness.k_statistics
-        kstats_calls = []
+        draw, finish = harness.sample_deviation, harness._k_from_sums
+        finish_calls = []
 
         def draws_but_the_second_horizon(params, driver, T, rng, size):
             if T == cfg.T_grid[1]:
                 raise KeyboardInterrupt
             return draw(params, driver, T, rng, size=size)
 
-        def k_statistics_of_the_first_horizon(samples, r_max):
-            kstats_calls.append(r_max)
-            if len(kstats_calls) == 2:
+        def k_statistics_of_the_first_horizon(rows, r_max):
+            finish_calls.append(r_max)
+            if len(finish_calls) == 2:
                 raise KeyboardInterrupt
-            return kstats(samples, r_max=r_max)
+            return finish(rows, r_max=r_max)
 
         if stage == "draws":
             monkeypatch.setattr(harness, "sample_deviation", draws_but_the_second_horizon)
-        else:
-            monkeypatch.setattr(harness, "k_statistics", k_statistics_of_the_first_horizon)
+        else:  # each horizon's k-statistics come from its chunk sums after its cells
+            monkeypatch.setattr(harness, "_k_from_sums", k_statistics_of_the_first_horizon)
         report = run_validation(cfg)
         assert report.partial and not full.partial
         assert len(report.cells) == 4 and {c["T"] for c in report.cells} == {3.0}
         assert [row["T"] for row in report.cumulants] == [3.0] * 4
         assert report.cells == full.cells[:4]
         assert report.cumulants == full.cumulants[:4]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_report_equals_the_whole_array_statistics(self, gamma_ou, workers):
+        # the streamed chunk sums give the bits of k_statistics and
+        # estimate_indicator on the horizon's whole draw array
+        params, driver = gamma_ou
+        cfg = ExperimentConfig(params=params, driver=driver, T_grid=(3.0, 6.0),
+                               p_orders=(2, 3), n_samples=10_001, seed=8,
+                               test_points=(-1.0, 0.0, 1.0), workers=workers)
+        report = run_validation(cfg)
+        for t_idx, T in enumerate(cfg.T_grid):
+            draws = draw_normalized_samples(params, driver, T, cfg.n_samples, cfg.seed,
+                                            stream_tag=t_idx)
+            ks = k_statistics(draws, r_max=4)
+            rows = [row for row in report.cumulants if row["T"] == T]
+            assert [row["k_stat"] for row in rows] == ks.values.tolist()
+            assert [row["se"] for row in rows] == ks.se.tolist()
+            for cell in (c for c in report.cells if c["T"] == T):
+                assert (cell["empirical"], cell["se"]) == estimate_indicator(draws, cell["a"])
+
+    def test_memory_does_not_grow_with_the_draws(self, gamma_ou):
+        # each chunk's draws are reduced to ~100 bytes of sums where they are
+        # drawn; holding a horizon's draws would add 8 bytes each (2.8 MB here)
+        params, driver = gamma_ou
+
+        def peak(n):
+            cfg = ExperimentConfig(params=params, driver=driver, T_grid=(5.0,),
+                                   p_orders=(2, 3), n_samples=n, seed=12,
+                                   test_points=(-1.0, 0.0, 1.0), workers=1)
+            tracemalloc.start()
+            try:
+                run_validation(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1000)  # a first call also counts numpy's lazy imports
+        growth = peak(400_000) - peak(50_000)
+        assert growth < 0.3e6, growth
 
     def test_degenerate_flag_propagates(self):
         cfg = ExperimentConfig.from_dict(base_config(
