@@ -55,6 +55,9 @@ class TestEstimateIndicator:
             estimate_indicator(np.array([1.0]), 0.0)
 
 
+# sample sizes around powers of two and numpy's 8-aligned pairwise splits
+BLOCK_EDGES = [4, 5, 127, 128, 129, 2**15, 2**15 + 1, 2**16 + 8, 100_003, 1_000_000]
+
 # draws whose k-statistics are held to the exact oracle: heavy and light
 # tails, a large common offset, and the sampler's own output
 ORACLE_LAWS = {
@@ -150,27 +153,19 @@ class TestKStatistics:
         np.testing.assert_allclose(ks.se, bootstrap_se(samples, np.random.default_rng(9)),
                                    rtol=0.2)
 
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_equals_the_whole_array_formulas(self, n):
+        # draws over six decades: the slice sums' k-statistics equal the
+        # whole-array formulas' up to the rounding that the oracle bounds
+        rng = np.random.default_rng(n)
+        assert_within_the_oracle_bound(
+            rng.exponential(1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n) - 2.0)
+
     @pytest.mark.parametrize("n", [4, 4095, 4096, 4097, 8193, 9000])
     @pytest.mark.parametrize("law", list(ORACLE_LAWS))
     def test_within_the_oracle_bound(self, law, n):
-        # around the CHUNK-sized slices whose sums k_statistics combines:
-        # every value and SE is within twice the whole-array formulas' own
-        # error of the exact one, or within 8 eps of its scale (the value for
-        # an SE; for k_r, the rounding that any evaluation from rounded sums
-        # carries where the terms of k_r cancel)
-        x = ORACLE_LAWS[law](np.random.default_rng(n), n)
-        got, ref = k_statistics(x), reference_k_statistics(x)
-        values, se, scales = oracle_k_statistics(x)
-        for name, exact, scale, g, r in [("k", values, scales, got.values, ref.values),
-                                         ("se", se, se, got.se, ref.se)]:
-            for i, (want, size) in enumerate(zip(exact, scale)):
-                err_got, err_ref = (abs(Fraction(float(v)) - want) for v in (g[i], r[i]))
-                bound = max(2 * err_ref, 8 * EPS * abs(size))
-                assert err_got <= bound, (name, i + 1, float(err_got / size), float(err_ref / size))
-        for r_max in (1, 2, 3):  # fewer orders: the same leading values and SEs
-            low = k_statistics(x, r_max)
-            assert np.array_equal(low.values, got.values[:r_max])
-            assert np.array_equal(low.se, got.se[:r_max])
+        # around the CHUNK-sized slices whose sums k_statistics combines
+        assert_within_the_oracle_bound(ORACLE_LAWS[law](np.random.default_rng(n), n))
 
     def test_memory_stays_block_sized(self):
         # the whole-array formulas peak at ~30 MB of temporaries here
@@ -204,10 +199,13 @@ EPS = Fraction(2) ** -52
 
 def oracle_k_statistics(x):
     """Reference: the k-statistics k_1..k_4 of the float sample x and their
-    SEs in exact rational arithmetic, each SE from the mean of the squared
-    influences IF_r (as in `k_statistics`) and a 60-digit square root, and
-    the scale of each k_r: mean |x|, then the formula of k_r over absolute
-    central moments."""
+    SEs in exact rational arithmetic, each SE from the mean V_r of the
+    squared influences IF_r (as in `k_statistics`) and a 60-digit square
+    root, with the scale of each: for k_r, mean |x|, then the formula of k_r
+    over absolute central moments; for an SE, the SE times W_r / V_r, W_r the
+    polynomial of V_r in the central moments (as in `k_statistics`) with
+    absolute coefficients and absolute central moments, so that a relative
+    rounding of eps in W_r moves the SE by eps times its scale."""
     ratios = [v.as_integer_ratio() for v in x.tolist()]
     scale = max(q for _, q in ratios)  # a power of two, so every x * scale is an integer
     xs = [p * (scale // q) for p, q in ratios]
@@ -223,9 +221,12 @@ def oracle_k_statistics(x):
     p2, p3, p4 = (sum(v ** k for v in y) for k in (2, 3, 4))
     values = k_stats(Fraction(total, big), *(Fraction(p, n * big ** k)
                                               for p, k in ((p2, 2), (p3, 3), (p4, 4))))
-    scales = k_stats(Fraction(sum(map(abs, xs)), big),
-                     *(Fraction(sum(abs(v) ** k for v in y), n * big ** k) for k in (2, 3, 4)),
-                     sign=1)
+    a = {}  # absolute central moments mean |d|^k
+    power = magnitude = list(map(abs, y))
+    for k in range(2, 9):
+        power = [u * v for u, v in zip(power, magnitude)]
+        a[k] = Fraction(sum(power), n * big ** k)
+    scales = k_stats(Fraction(sum(map(abs, xs)), big), a[2], a[3], a[4], sign=1)
     # n^(r-1) * big^r * IF_r for each draw, all integers
     squared = [
         Fraction(sum(v * v for v in y), big ** 2),
@@ -234,11 +235,35 @@ def oracle_k_statistics(x):
         Fraction(sum((n * n * v ** 4 - n * p4 - 4 * n * p3 * v - 6 * n * p2 * v * v
                       + 6 * p2 * p2) ** 2 for v in y), n ** 4 * big ** 8),
     ]
+    mean_squared = [s / n for s in squared]
+    spread = [a[2], a[4] + a[2] ** 2, a[6] + 6 * a[2] * a[4] + a[3] ** 2 + 9 * a[2] ** 3,
+              a[8] + 12 * a[2] * a[6] + 8 * a[3] * a[5] + a[4] ** 2 + 48 * a[2] ** 2 * a[4]
+              + 64 * a[2] * a[3] ** 2 + 36 * a[2] ** 4]
     with decimal.localcontext() as ctx:
         ctx.prec = 60
-        se = [Fraction((decimal.Decimal(s.numerator) / decimal.Decimal(s.denominator * n)).sqrt())
-              for s in squared]
-    return values, se, scales
+        se = [Fraction((decimal.Decimal(v.numerator) / decimal.Decimal(v.denominator * n)).sqrt())
+              for v in mean_squared]
+    return values, se, scales, [s * w / v for s, w, v in zip(se, spread, mean_squared)]
+
+
+def assert_within_the_oracle_bound(x):
+    """Every value and SE of k_statistics(x) is within twice the whole-array
+    formulas' own error of the exact one, or within 8 eps of its scale (see
+    `oracle_k_statistics`: the rounding that any evaluation from rounded sums
+    carries where the terms of k_r or of V_r cancel), and fewer orders give
+    the same leading values and SEs."""
+    got, ref = k_statistics(x), reference_k_statistics(x)
+    values, se, value_scales, se_scales = oracle_k_statistics(x)
+    for name, exact, scales, g, r in [("k", values, value_scales, got.values, ref.values),
+                                      ("se", se, se_scales, got.se, ref.se)]:
+        for i, (want, size) in enumerate(zip(exact, scales)):
+            err_got, err_ref = (abs(Fraction(float(v)) - want) for v in (g[i], r[i]))
+            bound = max(2 * err_ref, 8 * EPS * abs(size))
+            assert err_got <= bound, (name, i + 1, float(err_got / size), float(err_ref / size))
+    for r_max in (1, 2, 3):
+        low = k_statistics(x, r_max)
+        assert np.array_equal(low.values, got.values[:r_max])
+        assert np.array_equal(low.se, got.se[:r_max])
 
 
 def plug_in_cumulants(x, w):
