@@ -135,6 +135,10 @@ class CumulantTable:
             raise ValueError("T must be positive")
         if len(self.values) < 1:
             raise ValueError("table must contain at least the variance")
+        for r, v in enumerate(self.values, start=2):
+            if not math.isfinite(v):
+                raise OverflowError(f"normalized cumulant of order {r} at T={self.T!r} is "
+                                    f"{v!r}: its closed form leaves float range")
 
     @property
     def order(self) -> int:
@@ -152,14 +156,16 @@ def integrated_decay(lam: float, u):
 
     Monotone nondecreasing in u and bounded by 1/lam.  Accepts scalar or
     array u.  expm1 keeps the small-lam*u regime accurate and saturates
-    exactly at 1/lam once lam*u underflows the exponential.
+    exactly at 1/lam once lam*u underflows the exponential, also where
+    lam*u overflows, as expm1(-inf) = -1.
     """
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam!r}")
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr < 0):
         raise ValueError("u must be nonnegative")
-    out = -np.expm1(-lam * u_arr) / lam
+    with np.errstate(over="ignore"):
+        out = -np.expm1(-lam * u_arr) / lam
     return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
 
 
@@ -278,10 +284,18 @@ def normalized_cumulant_limit(r: int, params: ModelParams, kappa_f: CumulantVect
     The binomial sum collapses to lam * r * (rho + beta/lam)**r * kappa_F^(r);
     for r = 2 this equals 2 * (beta + rho*lam)**2 * kappa_F^(2) / lam.
     Identically zero in the degenerate regime beta + rho*lam = 0.
+    OverflowError, naming r, when the limit is beyond float range.
     """
     _check_order(r, kappa_f)
     lam = params.lam
-    return lam * r * (params.rho + params.beta / lam) ** r * kappa_f.get(r)
+    try:
+        limit = lam * r * (params.rho + params.beta / lam) ** r * kappa_f.get(r)
+    except OverflowError:
+        limit = math.inf
+    if not math.isfinite(limit):
+        raise OverflowError(f"large-T limit of the normalized cumulant of order {r} "
+                            "(T -> inf) is beyond float range")
+    return limit
 
 
 def cumulant_table(p: int, params: ModelParams, kappa_f: CumulantVector,

@@ -170,30 +170,6 @@ def _check_jump_budget(driver: DriverSpec, horizon: float, draws: int) -> None:
             f"more than the limit of {MAX_EXPECTED_JUMPS} per call")
 
 
-def _split_stream(rng: np.random.Generator, m: int, scratch: np.ndarray) -> np.random.Generator:
-    """A generator at rng's position, with rng itself moved past m doubles.
-
-    PCG64(DXSM).advance(k) skips exactly k doubles.  Other bit generators
-    (Philox advances in blocks of four outputs, MT19937 and SFC64 cannot
-    advance) draw the m doubles into `scratch`, a block at a time, and drop
-    them."""
-    bg = rng.bit_generator
-    state = bg.state
-    head = type(bg)(0)
-    head.state = state
-    if type(bg) in (np.random.PCG64, np.random.PCG64DXSM):
-        bg.advance(m)
-        if state["has_uint32"]:
-            # advance drops a buffered 32-bit half, which drawing doubles keeps
-            moved = bg.state
-            moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
-            bg.state = moved
-    else:
-        for lo in range(0, m, scratch.size):
-            rng.random(out=scratch[:m - lo])
-    return np.random.Generator(head)
-
-
 def _jump_runs(rng: np.random.Generator, driver: DriverSpec, span: float, n: int):
     """Compound-Poisson jumps of n spans of length `span`, run by run.
 
@@ -213,19 +189,17 @@ def _jump_runs(rng: np.random.Generator, driver: DriverSpec, span: float, n: int
     jump are a view of the call's own offsets, which the caller must not
     write.
 
-    Draw order: one Poisson(c*span) block of n counts, then the m doubles u
-    of all spans followed by their m doubles v, as if each were one block.
-    The u come from a copy of the generator, which itself moves past them to
-    the v (`_split_stream`), so a run holds O(max(JUMP_BLOCK, largest span))
-    memory whatever c*span*n is, and at any JUMP_BLOCK the draws and the
-    final stream position are the same.
+    Draw order: one Poisson(c*span) block of n counts, then one
+    rng.integers(1 << 63) that seeds a child generator of rng's
+    bit-generator type, then the m jumps in order, each run's u from the
+    child and its v from rng.  Each stream is read in jump order, so at any
+    JUMP_BLOCK the draws and rng's final position are the same, and a run
+    holds O(max(JUMP_BLOCK, largest span)) memory whatever c*span*n is.
     """
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(rng.poisson(driver.c * span, n), out=offsets[1:])
-    m = int(offsets[-1])
-    buf = np.empty((2, min(m, JUMP_BLOCK)))
-    # m <= JUMP_BLOCK is one run, drawn in order
-    u_rng = _split_stream(rng, m, buf[0]) if m > JUMP_BLOCK else rng
+    u_rng = np.random.Generator(type(rng.bit_generator)(int(rng.integers(1 << 63))))
+    buf = np.empty((2, min(int(offsets[-1]), JUMP_BLOCK)))
     i0 = 0
     while i0 < n:
         lo = int(offsets[i0])
@@ -267,8 +241,7 @@ def sample_deviation(params: ModelParams, driver: DriverSpec, T: float,
 
     Draw order per call: stationary block(s) for X_0, one standard-normal
     block (when C > 0), then, when jumps are present, the draws' jumps in
-    `_jump_runs`'s order: the draws' Poisson counts, then every jump's u,
-    then every jump's v.  Each draw's jump sum depends only on its own
+    `_jump_runs`'s order.  Each draw's jump sum depends only on its own
     jumps, so the result does not depend on JUMP_BLOCK.  Raises ValueError,
     before drawing, when c*T*size exceeds MAX_EXPECTED_JUMPS.
     """
@@ -326,8 +299,7 @@ def sample_path(params: ModelParams, driver: DriverSpec, T: float, n_steps: int,
     -log(1 - v)/alpha is its size (`_kernels.jump_step_sums`).  Draw order:
     X_0 (unless x0 is given), one block of 2*n_steps standard normals (when
     C > 0), then, when jumps are present, the steps' jumps in `_jump_runs`'s
-    order: the steps' Poisson counts, then every jump's u, then every jump's
-    v.  Raises ValueError, before drawing, when c*T exceeds
+    order.  Raises ValueError, before drawing, when c*T exceeds
     MAX_EXPECTED_JUMPS.
     """
     if n_steps < 1:

@@ -34,32 +34,34 @@ from test_simulate import float_canary
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_gamma_ou.json"
 
 # theta_hat.json of TestThetaHatCommand's benchmark op, as written with jump
-# sizes by inversion, the kernels' constants folded into their expm1 forms
-# and the k-statistics combined from CHUNK-sized slices, recorded with
-# numpy 2.4 on x86-64 under test_simulate's two float canaries (with and
-# without AVX-512 exp, expm1 and log).  The draws differ in their last bits
-# between the two, and so do `bias` and `var_se_boot`.
+# arrival times from a child stream, sizes by inversion, the kernels'
+# constants folded into their expm1 forms and the k-statistics combined from
+# CHUNK-sized slices, recorded with numpy 2.4 on x86-64 under test_simulate's
+# two float canaries (with and without AVX-512 exp, expm1 and log).  The
+# draws differ in their last bits between the two, and so do `bias` and
+# `var_se_boot`.
 THETA_HAT_DIGESTS = {
-    "af6c5de4a420a779": "14dc1cce62c10d6eb03be8972101cd3f60fa090f7de7daccdd125042d33feab4",
-    "150bdcdaa4cc9966": "dd62b7ac63d9df5996cf909db3939e1af1857f24949357e7781673c17bfa988a",
+    "af6c5de4a420a779": "068147eff7890fbac9310b5e391517115d3b68c2477c97ea53476221c56207b3",
+    "150bdcdaa4cc9966": "e9ef27360e1044c34792cda370daf93dcd37d0b6ebe4e429680f0a051ae4a1d1",
 }
 
 # path_000.csv .. path_003.csv of TestSimulateCommand's benchmark op, as
-# written with jump sizes by inversion and the kernels' constants folded into
-# their expm1 forms, recorded with numpy 2.4 on x86-64 under test_simulate's
-# two float canaries, which give these paths the same bits.
+# written with jump arrival times from a child stream, sizes by inversion and
+# the kernels' constants folded into their expm1 forms, recorded with numpy
+# 2.4 on x86-64 under test_simulate's two float canaries, which give these
+# paths the same bits.
 SIMULATE_DIGESTS = {
     "af6c5de4a420a779": (
-        "3fc36ce1b96cdf33cb8c6b3fc0a93cfc0054b98c62c3d3dca4767fe8f6c15c16",
-        "665070cc0e2062682871dd3bff8ff3ddbb76869e42de2961628c1e89d6113f98",
-        "f95c32aee1e887efa2682dbd4afb63a4a58c48b5339315bd2ec39503f1a46315",
-        "f4f8d3fdbd51c15fd968df5adf0854fbcaf7e6dc7b98b481da65233c6cde3fa7",
+        "f339e85af931026327291dc65d4d34ef2ac043f4ec41c97f373348315410e21a",
+        "f033bf11f132bbde7736515c04b5e344f950023b91e8638054d21514bcb9b13c",
+        "7a8c478fcc78d61a924335f07aff8568663f898e28366511eb0e53c9b63bebc3",
+        "69cdbfa2a95c2328ccf5c91954f3af962afe92714952323e651047f84294bf3f",
     ),
     "150bdcdaa4cc9966": (
-        "3fc36ce1b96cdf33cb8c6b3fc0a93cfc0054b98c62c3d3dca4767fe8f6c15c16",
-        "665070cc0e2062682871dd3bff8ff3ddbb76869e42de2961628c1e89d6113f98",
-        "f95c32aee1e887efa2682dbd4afb63a4a58c48b5339315bd2ec39503f1a46315",
-        "f4f8d3fdbd51c15fd968df5adf0854fbcaf7e6dc7b98b481da65233c6cde3fa7",
+        "f339e85af931026327291dc65d4d34ef2ac043f4ec41c97f373348315410e21a",
+        "f033bf11f132bbde7736515c04b5e344f950023b91e8638054d21514bcb9b13c",
+        "7a8c478fcc78d61a924335f07aff8568663f898e28366511eb0e53c9b63bebc3",
+        "69cdbfa2a95c2328ccf5c91954f3af962afe92714952323e651047f84294bf3f",
     ),
 }
 
@@ -264,8 +266,22 @@ def test_jump_budget_is_checked_before_any_draw(subcommand, horizons, write_conf
     # 8 PB of grid, beyond the address space, so the allocation fails at once
     ("density", ["density_grid.n=1000000000000000"], None),  # MemoryError
     ("cumulants", None, None),  # --out names an existing file: FileExistsError
+    # lam*r*W_r overflows before the division by T, though the value is finite
+    ("cumulants", ["params.lam=1e10", "params.beta=1e10", "T_grid=[1e300]"],
+     "normalized cumulant of order 2 at T=1e+300 is inf"),  # OverflowError
+    # lam*4*W_4 = inf times the gaussian driver's kappa_F(4) = 0
+    ("cumulants", ['driver={"variant":"gaussian","b":1.0,"C":1.0}', "params.lam=10",
+                   "params.beta=1e6", "T_grid=[4.1e287]"],
+     "normalized cumulant of order 4 at T=4.1e+287 is nan"),  # OverflowError
+    ("cumulants", ["driver.b=0", "params.lam=1e-5", "driver.c=1e300"],
+     "large-T limit of the normalized cumulant of order 2"),  # OverflowError
+    # (beta/lam)**2 = 1e406, which Python's float power refuses
+    ("cumulants", ["params.beta=1e200", "params.lam=1e-3", "T_grid=[1e-300]"],
+     "large-T limit of the normalized cumulant of order 2"),  # OverflowError
 ], ids=["alpha-tiny", "alpha-tiny-order-4", "T-huge", "lam-tiny", "lam-tiny-weight-inf",
-        "density-alpha-tiny", "density-T-tiny", "grid-huge", "out-is-file"])
+        "density-alpha-tiny", "density-T-tiny", "grid-huge", "out-is-file",
+        "table-inf", "table-nan", "limit-inf", "limit-power-overflows"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy warns of no overflow on the way
 def test_schema_valid_extremes_exit_2(subcommand, overrides, names, tmp_path, capsys):
     out = tmp_path / "out"
     if overrides is None:

@@ -65,11 +65,19 @@ def sample_path_xy(params, driver, span, seed, n):
 SAMPLERS = {"deviation": sample_deviation_and_next, "path": sample_path_xy}
 
 
+def child_stream(rng):
+    """The generator that `simulate._jump_runs` draws arrival times from,
+    seeded by the next draw of rng."""
+    return np.random.Generator(type(rng.bit_generator)(int(rng.integers(1 << 63))))
+
+
 def replay_deviation(params, driver, T, rng, size):
     """sample_deviation(..., rng, size) replayed in its documented draw order,
-    each kind of variate drawn as one block.  Returns each draw's part
-    without jumps and its jump sum, the latter by math.fsum of the jump
-    weights written out unfolded, with sizes by inversion."""
+    each kind of variate drawn as one block: the jumps' counts, then the
+    child stream's seed, then every arrival time from the child, then every
+    size from rng.  Returns each draw's part without jumps and its jump sum,
+    the latter by math.fsum of the jump weights written out unfolded, with
+    sizes by inversion."""
     lam, beta, rho = params.lam, params.beta, params.rho
     x0 = sample_stationary_state(driver, lam, rng, size=size)
     base = (beta * integrated_decay(lam, T) * x0 - T * (beta + rho * lam) * driver.b / lam
@@ -78,7 +86,7 @@ def replay_deviation(params, driver, T, rng, size):
         base = base + (math.sqrt(driver.C * kernel_weight_integral(2, params, T))
                        * rng.standard_normal(size))
     counts = rng.poisson(driver.c * T, size)
-    to_horizon = T * rng.random(counts.sum())  # T - (arrival time), in law
+    to_horizon = T * child_stream(rng).random(counts.sum())  # T - (arrival time), in law
     sizes = -np.log(1.0 - rng.random(counts.sum())) / driver.alpha
     terms = ((rho + beta * (-np.expm1(-lam * to_horizon)) / lam) * sizes).tolist()
     ends = np.cumsum(counts)
@@ -87,13 +95,14 @@ def replay_deviation(params, driver, T, rng, size):
 
 def replay_path(params, driver, T, n_steps, rng):
     """X and Y of sample_path replayed in its documented draw order, each kind
-    of variate drawn as one block and the jumps of all steps summed at once."""
+    of variate drawn as one block (the arrival times from the child stream,
+    as in replay_deviation) and the jumps of all steps summed at once."""
     lam, dt = params.lam, T / n_steps
     x0 = sample_stationary_state(driver, lam, rng)
     g1, g2 = rng.standard_normal(n_steps), rng.standard_normal(n_steps)
     counts = rng.poisson(driver.c * dt, n_steps)
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    jt = rng.random(counts.sum())
+    jt = child_stream(rng).random(counts.sum())
     js = np.log(1.0 - rng.random(counts.sum()))
     dxj, ij = _kernels.jump_step_sums(jt, js, offsets, lam, dt, driver.alpha)
     eta_d = integrated_decay(lam, dt)
@@ -110,9 +119,7 @@ def _pcg64_with_buffered_uint32():
     return rng
 
 
-# generators with a one-output jump-ahead (PCG64, PCG64DXSM) and without
-# (SFC64 and MT19937 have no advance, Philox advances in blocks of four
-# outputs)
+# numpy's five bit generators, and PCG64 with half an output buffered
 STREAMS = {
     "PCG64": lambda: np.random.default_rng(35),
     "PCG64-uint32": _pcg64_with_buffered_uint32,
@@ -156,35 +163,35 @@ def path_digest(model, T, n_steps):
     return hashlib.sha256(path.X.tobytes() + path.Y.tobytes()).hexdigest()
 
 
-# Each case's digest as the sampler gives it with sizes by inversion and the
-# kernels' constants folded into their expm1 forms, recorded with numpy 2.4
-# on x86-64 under two float canaries: with and without numpy's AVX-512
-# exp, expm1 and log (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
-# AVX512_SPR").  jumps-T40's
+# Each case's digest as the sampler gives it with arrival times from a child
+# stream, sizes by inversion and the kernels' constants folded into their
+# expm1 forms, recorded with numpy 2.4 on x86-64 under two float canaries:
+# with and without numpy's AVX-512 exp, expm1 and log
+# (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR").  jumps-T40's
 # drift takes the correctly rounded kernel weight W_1 = 96 + 4 e^{-20} at
 # T = 40.
 DIGEST_CASES = {
-    # ~50 runs of a split PCG64 stream
+    # ~50 runs
     "jumps-T40": lambda: deviation_digest(JUMPS_MODEL, 40.0, 4096),
-    # ~82k jumps: two runs of a split stream
+    # ~82k jumps: two runs
     "acc06-T20": lambda: deviation_digest(ACC06_MODEL, 20.0, 4096),
-    # ~20k jumps: one run, arrival times straight from the stream
+    # ~20k jumps: one run
     "acc06-T20-one-run": lambda: deviation_digest(ACC06_MODEL, 20.0, 1000),
-    # 1000 steps holding ~80k jumps: two runs of a split stream
+    # 1000 steps holding ~80k jumps: two runs
     "path-T4000": lambda: path_digest(JUMPS_MODEL, 4000.0, 1000),
 }
 RECORDED_DIGESTS = {
     "af6c5de4a420a779": {
-        "jumps-T40": "61c75b639462e1676cd856620b8d77414eadaf0f9a8962e5a633fb49ec3ddb49",
-        "acc06-T20": "634fb30ccc388cca7aa2c7234a6c672b736cd14b138b9e810ae0f88841651770",
-        "acc06-T20-one-run": "5350fb8681e22304de8a44ab0000256b26d40e1c5739bbb2c4e18cbcb59abc8c",
-        "path-T4000": "335217348174401d17a360f1b0c2c6466296f7170e4104ec81e3f63e3b0304b9",
+        "jumps-T40": "cbbd546c46e0f87e9b1e07167b2f9a5fa2ff14a25701eb8b48003ae2a4748c5e",
+        "acc06-T20": "fdd6b1db6987df424eaa0c1b1211d1f5b36953aac68e47c885c23b6fab72c8b9",
+        "acc06-T20-one-run": "d776863c8d8cc519279b1aecb2fec03ddf6303d61ddb68c7ee9fcba629561192",
+        "path-T4000": "1e3e739fe01a77def6bcc3af3705647b90ad8f3b5e45089a0c4d54f18a60119a",
     },
     "150bdcdaa4cc9966": {
-        "jumps-T40": "612c873993cc069fcf0e03fceac229312c720c2aea34c511dab49774d63562f8",
-        "acc06-T20": "ec238d44aa2eca45d4c3b00a3fc067b150b9e75c70c78fc2c6129209bde4cb47",
-        "acc06-T20-one-run": "781f0c3dc985c5f15b93a3d59e78a6a049a41f1637f519725cd64b34b201d8bf",
-        "path-T4000": "d25be67d8d0f55f655161342d5c0022bfc9fcd4c67a61b049796ca11ece42205",
+        "jumps-T40": "12e564b45b7609dd32e6f3f3429f1e17f14c0baee086f53f5208292e3c10ff5d",
+        "acc06-T20": "0c5902897023f56e07fa70c08917cbb65930551d8f9262cbfed72131120b30dd",
+        "acc06-T20-one-run": "c0a37e1a1e70dde7b812daebd6a973577591948924e1a0a7b366361bf12ab48b",
+        "path-T4000": "9ee9a2af573ddddd057a0495419f326d1f62be138dde7492f1747f3aa9ebfbe8",
     },
 }
 
@@ -386,6 +393,19 @@ class TestSampleDeviation:
         assert (rng.bit_generator.state.get("has_uint32")
                 == replay.bit_generator.state.get("has_uint32"))
 
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_restoring_the_state_repeats_the_draws(self, stream):
+        # a call keeps nothing outside bit_generator.state (Generator.spawn,
+        # for one, counts its children outside it), so restoring the state
+        # repeats its draws and the stream's position after them
+        params, driver = JUMPS_MODEL
+        rng = STREAMS[stream]()
+        state = rng.bit_generator.state
+        first = sample_deviation(params, driver, 4.0, rng, size=500), rng.random()
+        rng.bit_generator.state = state
+        again = sample_deviation(params, driver, 4.0, rng, size=500), rng.random()
+        assert np.array_equal(first[0], again[0]) and first[1] == again[1]
+
     @pytest.mark.parametrize("case", DIGEST_CASES)
     def test_draws_are_the_recorded_bytes(self, case):
         canary = float_canary()
@@ -398,7 +418,7 @@ class TestSampleDeviation:
         # 4096 draws at c*T = 800, ~50 runs: the runs share one arrival-time
         # and one size buffer of JUMP_BLOCK doubles, and the weights are built
         # in the arrival times' buffer, so no third jump-sized array is held,
-        # whether the stream jumps ahead past the arrival times or not
+        # whichever bit generator draws them
         params, driver = JUMPS_MODEL
         n = 4096
         # a process's first call also counts ~0.8 MB of numpy's lazy imports
