@@ -17,7 +17,6 @@ import json
 import math
 import operator
 import os
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -98,11 +97,6 @@ CONFIG_SCHEMA = {
             },
         },
         "moments": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "chi_override": {
-            "type": "object",
-            "propertyNames": {"pattern": f"^({'|'.join(str(r) for r in range(2, R_MAX + 1))})$"},
-            "additionalProperties": {"type": "number"},
-        },
     },
 }
 
@@ -260,20 +254,6 @@ def _additional_properties(allowed, value, path, schema):
     extras = [key for key in value if key not in schema.get("properties", {})]
     if allowed is False and extras:
         yield path, f"additional properties are not allowed: {', '.join(map(repr, extras))}"
-    elif isinstance(allowed, dict):
-        for key in extras:
-            yield from _violations(allowed, value[key], path + (key,))
-
-
-def _property_names(sub, value, path, schema):
-    if isinstance(value, dict):
-        for key in value:
-            yield from _violations(sub, key, path)
-
-
-def _pattern(pattern, value, path, schema):
-    if isinstance(value, str) and not re.search(pattern, value):
-        yield path, f"{value!r} does not match {pattern!r}"
 
 
 def _enum(options, value, path, schema):
@@ -322,8 +302,6 @@ _KEYWORDS = {
     "required": _required,
     "properties": _properties,
     "additionalProperties": _additional_properties,
-    "propertyNames": _property_names,
-    "pattern": _pattern,
     "enum": _enum,
     "const": _const,
     "not": _not,
@@ -364,7 +342,6 @@ class ExperimentConfig:
     seed: int = 0
     test_points: tuple[float, ...] = (-1.0, 0.0, 1.0)
     workers: int = 0  # 0 -> hardware parallelism
-    cumulant_override: tuple[tuple[int, float], ...] = ()
     density_grid: tuple[float, float, int] = (-6.0, 6.0, 241)  # (lo, hi, n)
     moments: tuple[int, ...] = (1, 2, 3)
     n_steps: int = 64  # sim.n_steps
@@ -376,11 +353,6 @@ class ExperimentConfig:
         # driver is not a schema-valid document).
         validate_config({**self.canonical_dict(), "driver": {"variant": self.driver.variant},
                          "workers": self.workers})
-        orders = [r for r, _ in self.cumulant_override]
-        if len(set(orders)) < len(orders) or any(not 2 <= r <= self.table_order for r in orders):
-            # an order outside the table would change nothing but config_hash
-            raise ConfigError(f"chi_override orders {orders} must be distinct and in 2.."
-                              f"{self.table_order}, the orders of the cumulant table")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -391,8 +363,6 @@ class ExperimentConfig:
         drv = dict(d["driver"])
         variant = drv.pop("variant")
         driver = DriverSpec(variant=variant, **{k: float(v) for k, v in drv.items()})
-        override = tuple(sorted((int(r), float(v))
-                                for r, v in d.get("chi_override", {}).items()))
         grid = d.get("density_grid")
         sim = d.get("sim", {})
         return cls(
@@ -404,7 +374,6 @@ class ExperimentConfig:
             seed=int(d["seed"]),
             test_points=tuple(float(a) for a in d.get("test_points", cls.test_points)),
             workers=int(d.get("workers", cls.workers)),
-            cumulant_override=override,
             density_grid=((float(grid["lo"]), float(grid["hi"]), int(grid["n"]))
                           if grid is not None else cls.density_grid),
             moments=tuple(int(m) for m in d.get("moments", cls.moments)),
@@ -427,7 +396,6 @@ class ExperimentConfig:
             "n_samples": self.n_samples,
             "seed": self.seed,
             "test_points": list(self.test_points),
-            "chi_override": {str(r): v for r, v in self.cumulant_override},
             "density_grid": {"lo": lo, "hi": hi, "n": n},
             "moments": list(self.moments),
             "sim": {"n_steps": self.n_steps, "n_paths": self.n_paths},
@@ -455,9 +423,5 @@ class ExperimentConfig:
                                     self.params.lam)
 
     def table(self, T: float) -> CumulantTable:
-        """Closed-form cumulant table at horizon T, of orders 2 to
-        `table_order`, with `cumulant_override` applied."""
-        values = list(cumulant_table(self.table_order, self.params, self.kappa_f, T).values)
-        for r, v in self.cumulant_override:
-            values[r - 2] = v
-        return CumulantTable(T=float(T), values=tuple(values))
+        """Closed-form cumulant table at horizon T, of orders 2 to `table_order`."""
+        return cumulant_table(self.table_order, self.params, self.kappa_f, T)

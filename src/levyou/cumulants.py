@@ -46,8 +46,8 @@ __all__ = [
 ]
 
 # Highest cumulant order supported: the orders that the `decimal` oracle test
-# of kernel_weight_integral covers.  CONFIG_SCHEMA's p_orders maximum and
-# chi_override keys are derived from it.
+# of kernel_weight_integral covers.  CONFIG_SCHEMA's p_orders maximum is
+# derived from it.
 R_MAX = 12
 
 # Relative tolerance deciding when beta + rho*lam counts as zero.
@@ -233,8 +233,11 @@ def kernel_weight_integral(r: int, params: ModelParams, T: float) -> float:
     y_T = -math.expm1(-lam * T)
     if lam * T >= 2.0:
         A, w_T = rho + B, rho + B * y_T
-        total = A ** r * T - sum(A ** (r - j) * (w_T ** j - rho ** j) / j
-                                 for j in range(1, r + 1)) / lam
+        try:
+            total = A ** r * T - sum(A ** (r - j) * (w_T ** j - rho ** j) / j
+                                     for j in range(1, r + 1)) / lam
+        except OverflowError:  # Python's float power raises where numpy gives inf
+            total = math.inf
     else:
         x, w = gauss_legendre(24)
         y = 0.5 * y_T * (1.0 + x)
@@ -261,20 +264,20 @@ def normalized_cumulant(r: int, params: ModelParams, kappa_f: CumulantVector, T:
     """r-th cumulant of T^{-1/2} (Y_T - E[Y_T]), exact closed form.
 
     For r = 2 this is the exact finite-horizon variance of the normalized
-    functional.  OverflowError, naming r and T, when the scale factor
-    T^{-(r-2)/2} is beyond float range (tiny T at high orders).
+    functional.  OverflowError, naming r and T, when (beta * k_T)**r or the
+    scale factor T^{-(r-2)/2} (tiny T at high orders) is beyond float range.
     """
     _check_order(r, kappa_f)
     if T <= 0:
         raise ValueError("T must be positive")
     lam, beta = params.lam, params.beta
     k_T = integrated_decay(lam, T)
-    bracket = (beta * k_T) ** r / T + lam * r * kernel_weight_integral(r, params, T) / T
     try:
-        scale = T ** (-(r - 2) / 2.0)
+        head, scale = (beta * k_T) ** r, T ** (-(r - 2) / 2.0)
     except OverflowError:
-        raise OverflowError(f"normalized cumulant of order {r} at T={T!r}: its scale "
-                            f"factor T**{-(r - 2) / 2.0} is beyond float range") from None
+        raise OverflowError(f"normalized cumulant of order {r} at T={T!r}: (beta * k_T)**{r} "
+                            f"or T**{-(r - 2) / 2.0} is beyond float range") from None
+    bracket = head / T + lam * r * kernel_weight_integral(r, params, T) / T
     return scale * bracket * kappa_f.get(r)
 
 

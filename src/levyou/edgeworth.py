@@ -50,7 +50,7 @@ class NonPositiveVarianceError(ValueError):
     """The variance of an expansion is not positive (zero, negative or NaN).
 
     A model property, not a malformed input: it arises in the degenerate
-    regime or from a variance override.
+    regime or from a variance that underflows to 0.
     """
 
 
@@ -78,8 +78,9 @@ class ExpansionCoefficients:
             raise NonPositiveVarianceError(f"variance sigma must be positive, got {self.sigma!r}")
         if not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be finite, got {self.sigma!r}")
-        if not all(math.isfinite(c) for _, c in self.terms):
-            raise ValueError("all coefficients must be finite")
+        bad = [f"{deg} is {c!r}" for deg, c in self.terms if not math.isfinite(c)]
+        if bad:
+            raise ValueError(f"order-{self.p} expansion coefficient of Hermite degree {bad[0]}")
         if not all(deg >= 3 for deg, _ in self.terms):
             raise ValueError("Hermite degrees k+2l of the terms must be >= 3")
 

@@ -338,7 +338,7 @@ def mean_estimator_demo(cfg: ExperimentConfig) -> MeanEstimatorResult:
     these, the variance k_2 of the scaled error against the closed-form
     variance, and Kolmogorov-Smirnov distances of the scaled error to the
     normal and the order-3 expansion.  The predictions come from
-    `cfg.table`, so `chi_override` applies as in every other output.
+    `cfg.table`.
     """
     params, T, n_samples = cfg.params, cfg.T_grid[0], cfg.n_samples
     if not (params.beta == 1.0 and params.gamma == 0.0 and params.rho == 0.0):
@@ -386,7 +386,7 @@ def convergence_study(cfg: ExperimentConfig) -> ConvergenceStudy:
     For each r in {2,3,4} reports the rescaled value, the limit, the absolute
     gap, and the fitted log-log decay slope of the gap (None when the gap is
     identically zero, e.g. odd orders under a Gaussian driver).  The values
-    come from `cfg.table`, so `chi_override` applies as in every other output.
+    come from `cfg.table`.
     """
     if len(set(cfg.T_grid)) < 3:
         raise ValueError("convergence study needs at least 3 distinct horizons")

@@ -24,7 +24,7 @@ from levyou import (
     sample_path,
     stationary_cumulants,
 )
-from levyou import simulate
+from levyou import harness, simulate
 from levyou.cli import main
 from levyou.config import CONFIG_SCHEMA, REPORT_SCHEMA
 
@@ -41,8 +41,8 @@ EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_gamma_ou.json"
 # draws differ in their last bits between the two, and so do `bias` and
 # `var_se_boot`.
 THETA_HAT_DIGESTS = {
-    "af6c5de4a420a779": "068147eff7890fbac9310b5e391517115d3b68c2477c97ea53476221c56207b3",
-    "150bdcdaa4cc9966": "e9ef27360e1044c34792cda370daf93dcd37d0b6ebe4e429680f0a051ae4a1d1",
+    "af6c5de4a420a779": "44aaa2eed78b8fd3a22cb35b74ae0e46f221870d307ce09d496b5fa7d5d30a70",
+    "150bdcdaa4cc9966": "eb8090794b0b384931784a570e1033f6b4353d0dc63f61956d8228c13b2483ca",
 }
 
 # path_000.csv .. path_003.csv of TestSimulateCommand's benchmark op, as
@@ -120,7 +120,7 @@ class TestConfigErrors:
         for driver in ({"variant": "gaussian", "b": 1.0, "C": 1.0},
                        {"variant": "gaussian", "b": 1.0, "C": 1.0, "alpha": 1}):
             cfg["driver"] = driver
-            assert ExperimentConfig.from_dict(cfg).config_hash().startswith("b34453a260a9")
+            assert ExperimentConfig.from_dict(cfg).config_hash().startswith("c2b88520d6ca")
 
 
 class TestCumulantsCommand:
@@ -215,10 +215,12 @@ class TestDensityCommand:
 
 
 @pytest.mark.parametrize("subcommand", ["density", "validate", "expect"])
-def test_nonpositive_variance_exits_3(subcommand, write_config, tmp_path, capsys):
-    cfg = base_config(chi_override={"2": -1.0})
-    assert run_cli(subcommand, write_config(cfg), tmp_path) == 3
-    assert "model degeneracy" in capsys.readouterr().err
+def test_nonpositive_variance_exits_3(subcommand, tmp_path, capsys):
+    # C = 5e-324, the least positive double, gives a variance that underflows to 0.0
+    assert run_cli(subcommand, EXAMPLE, tmp_path, "--set", "n_samples=1000", "--set",
+                   'driver={"variant":"gaussian","b":0.0,"C":5e-324}') == 3
+    err = capsys.readouterr().err
+    assert "model degeneracy: variance sigma must be positive, got 0.0" in err
 
 
 @pytest.mark.parametrize("subcommand", ["validate", "theta-hat", "simulate"])
@@ -278,9 +280,18 @@ def test_jump_budget_is_checked_before_any_draw(subcommand, horizons, write_conf
     # (beta/lam)**2 = 1e406, which Python's float power refuses
     ("cumulants", ["params.beta=1e200", "params.lam=1e-3", "T_grid=[1e-300]"],
      "large-T limit of the normalized cumulant of order 2"),  # OverflowError
+    # (beta * k_T)**r beyond float range, which Python's float power refuses
+    ("cumulants", ["params.beta=1e200"], "normalized cumulant of order 2 at T=5.0"),
+    ("density", ["params.beta=1e150"], "normalized cumulant of order 3 at T=5.0"),
+    ("expect", ["params.beta=1e100", "p_orders=[4]"],
+     "normalized cumulant of order 4 at T=5.0"),  # OverflowError
+    # kappa_3**2 = inf in the term of Hermite degree 6
+    ("expect", ["driver.alpha=1e-60", "p_orders=[4]", "moments=[4]"],
+     "order-4 expansion coefficient of Hermite degree 6 is inf"),  # ValueError
 ], ids=["alpha-tiny", "alpha-tiny-order-4", "T-huge", "lam-tiny", "lam-tiny-weight-inf",
         "density-alpha-tiny", "density-T-tiny", "grid-huge", "out-is-file",
-        "table-inf", "table-nan", "limit-inf", "limit-power-overflows"])
+        "table-inf", "table-nan", "limit-inf", "limit-power-overflows",
+        "beta-huge", "density-beta-huge", "expect-beta-huge", "expect-coefficient-inf"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy warns of no overflow on the way
 def test_schema_valid_extremes_exit_2(subcommand, overrides, names, tmp_path, capsys):
     out = tmp_path / "out"
@@ -292,7 +303,7 @@ def test_schema_valid_extremes_exit_2(subcommand, overrides, names, tmp_path, ca
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     if names is not None:  # the message names the quantity that overflowed
-        assert names in err, err
+        assert names in err and "(34, " not in err, err
 
 
 def test_huge_alpha_gives_finite_cumulants(tmp_path, capsys):
@@ -332,34 +343,13 @@ def test_non_finite_numbers_are_schema_violations(subcommand, override, write_co
     assert list(out.glob("*")) == []
 
 
-@pytest.mark.parametrize("overrides", [
-    ['chi_override={"99": 1.0}'],  # outside the schema's 2..12
-    ['chi_override={"0": 1.0}'],
-    ['chi_override={"1": 1.0}'],
-    ['chi_override={"007": 1.0}'],  # would alias "7"
-    ['chi_override={"7": 1.0}'],  # above the table order 4 of the default p_orders
-    ["p_orders=[12]", 'chi_override={"12": 1.0, "12\\n": 2.0}'],  # two names of order 12
-], ids=["99", "0", "1", "007", "7", "12-twice"])
-def test_chi_override_outside_the_table_exits_2(overrides, write_config, tmp_path, capsys):
-    # such a key changed nothing but config_hash
+def test_chi_override_exits_2(write_config, tmp_path, capsys):
+    # chi_override, which replaced the closed-form cumulants, is not a config key
     out = tmp_path / "out"
-    extra = [arg for o in overrides for arg in ("--set", o)]
-    assert run_cli("cumulants", write_config(base_config()), out, *extra) == 2
+    assert run_cli("cumulants", write_config(base_config(chi_override={"2": 1.0})), out) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "chi_override" in err and "Traceback" not in err
-    assert list(out.glob("*")) == []
-
-
-def test_chi_override_inside_the_table_applies(write_config, tmp_path):
-    # orders 2 to the table order 4 of the default p_orders, both ends included
-    path = write_config(base_config())
-    assert run_cli("cumulants", path, tmp_path / "plain") == 0
-    assert run_cli("cumulants", path, tmp_path / "set",
-                   "--set", 'chi_override={"2": 40.0, "4": 7.0}') == 0
-    plain, set_ = (list(csv.DictReader((tmp_path / d / "cumulants.csv").open()))
-                   for d in ("plain", "set"))
-    assert [row["r"] for row in set_] == ["2", "3", "4"]
-    assert [row["cumulant"] for row in set_] == ["40.0", plain[1]["cumulant"], "7.0"]
+    assert "config schema violation" in err and "'chi_override'" in err
+    assert "Traceback" not in err and list(out.glob("*")) == []
 
 
 def test_cli_leaves_jsonschema_unloaded(tmp_path):
@@ -469,8 +459,17 @@ class TestValidateCommand:
         cfg = base_config(n_samples=2000)
         assert run_cli("validate", write_config(cfg), tmp_path, "--strict") == 0
 
-    def test_strict_fails_with_wrong_cumulant(self, write_config, tmp_path):
-        cfg = base_config(n_samples=5000, chi_override={"2": 40.0})
+    def test_strict_fails_with_wrong_cumulant(self, write_config, tmp_path, monkeypatch):
+        # a k_2 of 40 is far outside 5 SE of the closed-form variance
+        real = harness._k_from_sums
+
+        def k2_of_40(rows, r_max):
+            ks = real(rows, r_max)
+            ks.values[1] = 40.0
+            return ks
+
+        monkeypatch.setattr(harness, "_k_from_sums", k2_of_40)
+        cfg = base_config(n_samples=5000)
         assert run_cli("validate", write_config(cfg), tmp_path, "--strict") == 4
         # without --strict the run still completes
         assert run_cli("validate", write_config(cfg), tmp_path) == 0
@@ -499,13 +498,6 @@ class TestThetaHatCommand:
         assert data["theta0"] == 1.0
         assert math.isfinite(data["summary"]["ks_order3"])
         assert data["config_hash"] == ExperimentConfig.from_dict(cfg).config_hash()
-
-    def test_chi_override_reaches_the_predictions(self, write_config, tmp_path):
-        cfg = base_config(params={"lam": 1.0, "gamma": 0.0, "beta": 1.0, "rho": 0.0},
-                          T_grid=[10.0], n_samples=2000, chi_override={"2": 5.0})
-        assert run_cli("theta-hat", write_config(cfg), tmp_path) == 0
-        data = json.loads((tmp_path / "theta_hat.json").read_text())
-        assert data["summary"]["var_predicted"] == 5.0
 
     def test_wrong_shape_is_config_error(self, write_config, tmp_path):
         assert run_cli("theta-hat", write_config(base_config()), tmp_path) == 2

@@ -12,7 +12,6 @@ from scipy.integrate import quad
 from levyou import (
     CumulantKind,
     CumulantVector,
-    ExperimentConfig,
     ModelParams,
     cumulant_table,
     driver_cumulants,
@@ -196,6 +195,14 @@ class TestKernelWeightIntegral:
         assert abs(kernel_weight_integral(1, p, 5.0) - 5.0) < 1e-6
         assert abs(kernel_weight_integral(3, p, 5.0) - 5.0) < 1e-6
 
+    def test_overflow_names_order_and_horizon(self):
+        # A**2 = 1e400 in the finite sum at T = 5; quadrature at T = 1
+        p = ModelParams(lam=1.0, gamma=0.0, beta=1e200, rho=0.5)
+        for T in (5.0, 1.0):
+            with pytest.raises(OverflowError, match=rf"^kernel weight integral of order 2 "
+                                                    rf"at T={T!r} overflows$"):
+                kernel_weight_integral(2, p, T)
+
     def test_quadrature_oracle_randomized(self, rng):
         for _ in range(10):
             lam = rng.uniform(0.3, 2.5)
@@ -326,15 +333,6 @@ class TestDegenerateRegime:
 
 
 class TestCumulantTable:
-    def test_override_hook(self, gamma_ou, gamma_ou_kappa_f):
-        # chi_override reaches a table through ExperimentConfig.table only
-        params, driver = gamma_ou
-        cfg = ExperimentConfig(params=params, driver=driver, T_grid=(5.0,),
-                               cumulant_override=((3, 9.5),))
-        table = cfg.table(5.0)
-        assert table.get(3) == 9.5
-        assert table.get(2) == normalized_cumulant(2, params, gamma_ou_kappa_f, 5.0)
-
     def test_range_errors(self, gamma_ou, gamma_ou_kappa_f):
         params, _ = gamma_ou
         table = cumulant_table(4, params, gamma_ou_kappa_f, 5.0)
