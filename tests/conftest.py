@@ -35,6 +35,22 @@ def gaussian_model():
 
 
 @pytest.fixture()
+def k2_of_40(monkeypatch):
+    """Make validation report k_2 = 40, far outside 5 SE of the closed-form
+    variance, so its cumulant_match check fails."""
+    from levyou import harness
+
+    real = harness._k_from_sums
+
+    def patched(rows, r_max):
+        ks = real(rows, r_max)
+        ks.values[1] = 40.0
+        return ks
+
+    monkeypatch.setattr(harness, "_k_from_sums", patched)
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(20250809)
 

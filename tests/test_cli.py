@@ -24,7 +24,7 @@ from levyou import (
     sample_path,
     stationary_cumulants,
 )
-from levyou import harness, simulate
+from levyou import simulate
 from levyou.cli import main
 from levyou.config import CONFIG_SCHEMA, REPORT_SCHEMA
 
@@ -459,16 +459,7 @@ class TestValidateCommand:
         cfg = base_config(n_samples=2000)
         assert run_cli("validate", write_config(cfg), tmp_path, "--strict") == 0
 
-    def test_strict_fails_with_wrong_cumulant(self, write_config, tmp_path, monkeypatch):
-        # a k_2 of 40 is far outside 5 SE of the closed-form variance
-        real = harness._k_from_sums
-
-        def k2_of_40(rows, r_max):
-            ks = real(rows, r_max)
-            ks.values[1] = 40.0
-            return ks
-
-        monkeypatch.setattr(harness, "_k_from_sums", k2_of_40)
+    def test_strict_fails_with_wrong_cumulant(self, write_config, tmp_path, k2_of_40):
         cfg = base_config(n_samples=5000)
         assert run_cli("validate", write_config(cfg), tmp_path, "--strict") == 4
         # without --strict the run still completes

@@ -413,20 +413,11 @@ class TestRunValidation:
         del d1["meta"], d2["meta"]
         assert d1 == d2
 
-    def test_cumulant_override_breaks_match_check(self, gamma_ou, monkeypatch):
-        # a k_2 of 40 is far outside 5 SE of the closed-form variance
+    def test_cumulant_override_breaks_match_check(self, gamma_ou, k2_of_40):
         params, driver = gamma_ou
         cfg = ExperimentConfig(params=params, driver=driver, T_grid=(5.0,),
                                p_orders=(2, 3), n_samples=20_000, seed=9,
                                test_points=(0.0,), workers=1)
-        real = harness._k_from_sums
-
-        def k2_of_40(rows, r_max):
-            ks = real(rows, r_max)
-            ks.values[1] = 40.0
-            return ks
-
-        monkeypatch.setattr(harness, "_k_from_sums", k2_of_40)
         report = run_validation(cfg)
         failed = {c["name"] for c in report.checks if not c["passed"]}
         assert "cumulant_match" in failed
