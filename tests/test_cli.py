@@ -343,10 +343,20 @@ def test_non_finite_numbers_are_schema_violations(subcommand, override, write_co
     assert list(out.glob("*")) == []
 
 
-def test_chi_override_exits_2(write_config, tmp_path, capsys):
-    # chi_override, which replaced the closed-form cumulants, is not a config key
+@pytest.mark.parametrize("overrides", [
+    ['chi_override={"99": 1.0}'],
+    ['chi_override={"0": 1.0}'],
+    ['chi_override={"1": 1.0}'],
+    ['chi_override={"007": 1.0}'],
+    ['chi_override={"7": 1.0}'],
+    ["p_orders=[12]", 'chi_override={"12": 1.0, "12\\n": 2.0}'],
+], ids=["99", "0", "1", "007", "7", "12-twice"])
+def test_chi_override_outside_the_table_exits_2(overrides, write_config, tmp_path, capsys):
+    # chi_override, which replaced the closed-form cumulants, is not a config key:
+    # every spelling of its orders, inside the table or not, is refused alike
     out = tmp_path / "out"
-    assert run_cli("cumulants", write_config(base_config(chi_override={"2": 1.0})), out) == 2
+    extra = [arg for o in overrides for arg in ("--set", o)]
+    assert run_cli("cumulants", write_config(base_config()), out, *extra) == 2
     err = capsys.readouterr().err
     assert "config schema violation" in err and "'chi_override'" in err
     assert "Traceback" not in err and list(out.glob("*")) == []
