@@ -47,7 +47,8 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)  # object array out
 
 
 class NonPositiveVarianceError(ValueError):
-    """The variance of an expansion is not positive (zero, negative or NaN).
+    """The variance of an expansion, or of a path step's Gaussian increment,
+    is not positive (zero, negative or NaN).
 
     A model property, not a malformed input: it arises in the degenerate
     regime or from a variance that underflows to 0.

@@ -39,9 +39,12 @@ __all__ = [
     "convergence_study",
 ]
 
-# Replicates per RNG stream and per slice of k_statistics' sums.  Fixed so that
-# the draws depend only on (seed, horizon index), never on scheduling or workers.
-CHUNK = 4096
+# Replicates per RNG stream, per sampler call and per slice of k_statistics'
+# sums.  Fixed so that the draws depend only on (seed, horizon index), never
+# on scheduling or workers.
+CHUNK = 16384
+# Chunks submitted to the pool ahead of the one being collected, per worker.
+_AHEAD = 2
 # Sorted draws per block of the KS pass, whose expansion CDF holds a Python
 # float per draw and a few arrays besides: ~650 KB of temporaries a block.
 _KS_BLOCK = 1 << 13
@@ -161,19 +164,22 @@ def draw_normalized_samples(params: ModelParams, driver: DriverSpec, T: float,
     output by a pool of max(workers, 1) threads, so the output is
     independent of `workers`.  With `reduce`, each chunk's draws go to
     `reduce(draws)` in its thread instead, and the fixed-length vectors it
-    returns come back as one array, a row per chunk.  An exception raised
-    while drawing a chunk, KeyboardInterrupt included, cancels the chunks not
-    yet started and is raised here.
+    returns come back as one array, a row per chunk.  At most _AHEAD chunks
+    per thread are submitted ahead of the one collected, so the pending work
+    does not grow with n.  An exception raised while drawing a chunk,
+    KeyboardInterrupt included, cancels the chunks not yet started and is
+    raised here.
     """
     # imported here so that `import levyou` does not pay for it (and logging's)
+    from collections import deque
     from concurrent.futures import ThreadPoolExecutor
 
+    workers = max(workers, 1)
+    n_chunks = -(-n // CHUNK)
     out = np.empty(n) if reduce is None else None
-    jobs = [(ci, lo, min(lo + CHUNK, n))
-            for ci, lo in enumerate(range(0, n, CHUNK))]
 
-    def work(job):
-        ci, lo, hi = job
+    def work(ci):
+        lo, hi = ci * CHUNK, min((ci + 1) * CHUNK, n)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_tag, ci)))
         draws = sample_deviation(params, driver, T, rng, size=hi - lo)
         draws /= math.sqrt(T)
@@ -181,11 +187,24 @@ def draw_normalized_samples(params: ModelParams, driver: DriverSpec, T: float,
             return reduce(draws)
         out[lo:hi] = draws
 
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as ex:
-        for ci, row in enumerate(ex.map(work, jobs)):
+    def results(ex):  # ex.map's results, submitting at most _AHEAD chunks a thread ahead
+        pending = deque()
+        try:
+            for ci in range(n_chunks):
+                pending.append(ex.submit(work, ci))
+                if len(pending) > _AHEAD * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        for ci, row in enumerate(results(ex)):
             if reduce is not None:
                 if out is None:
-                    out = np.empty((len(jobs), row.size))
+                    out = np.empty((n_chunks, row.size))
                 out[ci] = row
     return out
 
@@ -236,7 +255,7 @@ def run_validation(cfg: ExperimentConfig) -> MCReport:
     horizons completed so far are kept, with no cell or cumulant row of the
     interrupted one, and the report is marked partial.  Raises ValueError
     before drawing anything when a chunk of any horizon expects more jumps
-    than MAX_EXPECTED_JUMPS.
+    than `simulate._check_jump_budget` allows.
     """
     for T in cfg.T_grid:
         _check_jump_budget(cfg.driver, T, min(CHUNK, cfg.n_samples))

@@ -23,6 +23,7 @@ from .cumulants import (
     integrated_decay,
     kernel_weight_integral,
 )
+from .edgeworth import NonPositiveVarianceError
 
 __all__ = [
     "DriverSpec",
@@ -37,14 +38,19 @@ __all__ = [
 
 # Both samplers draw jumps and sum them in runs of whole draws (or path
 # steps) holding at most this many jumps (one with more is a run of its own),
-# so the per-run arrays stay cache-sized whatever the jump intensity.
-JUMP_BLOCK = 1 << 16
+# so the per-run arrays stay cache-sized whatever the jump intensity.  Its
+# two 8-byte buffers per jump and about 16 bytes per draw of a harness chunk
+# of 16384 draws make a validate worker's working set 16 * (53248 + 16384)
+# bytes, about 1.06 MiB.
+JUMP_BLOCK = 13 << 12
 
-# Largest expected jump count of one sampler call: c*T per draw times the
-# draws of the call (one for a path).  It bounds a call's run time and the
-# jump arrays of a single draw or path step; a call that expects more is
-# refused before anything is drawn.
-MAX_EXPECTED_JUMPS = 1 << 28
+# Largest expected jump count of one sampler call, c*T per draw times the
+# draws of the call (a harness chunk of 16384 draws may thus have c*T up to
+# 65536), and of one draw or path, which bounds the jump arrays of a single
+# draw or path step.  A call that expects more is refused before anything is
+# drawn.
+MAX_EXPECTED_JUMPS = 1 << 30
+MAX_DRAW_JUMPS = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -162,12 +168,12 @@ def sample_stationary_state(driver: DriverSpec, lam: float, rng: np.random.Gener
 
 
 def _check_jump_budget(driver: DriverSpec, horizon: float, draws: int) -> None:
-    expected = driver.c * horizon * draws if driver.has_jumps else 0.0
-    if expected > MAX_EXPECTED_JUMPS:
+    per_draw = driver.c * horizon if driver.has_jumps else 0.0
+    if per_draw * draws > MAX_EXPECTED_JUMPS or per_draw > MAX_DRAW_JUMPS:
         raise ValueError(
-            f"one sampler call would draw about {expected:.3g} jumps "
-            f"(c*T = {driver.c * horizon:.3g} per draw, {draws} draw(s)), "
-            f"more than the limit of {MAX_EXPECTED_JUMPS} per call")
+            f"one sampler call would draw about {per_draw * draws:.3g} jumps "
+            f"(c*T = {per_draw:.3g} per draw, {draws} draw(s)), more than the limit "
+            f"of {MAX_EXPECTED_JUMPS} per call and {MAX_DRAW_JUMPS} per draw")
 
 
 def _jump_runs(rng: np.random.Generator, driver: DriverSpec, span: float, n: int):
@@ -243,7 +249,8 @@ def sample_deviation(params: ModelParams, driver: DriverSpec, T: float,
     block (when C > 0), then, when jumps are present, the draws' jumps in
     `_jump_runs`'s order.  Each draw's jump sum depends only on its own
     jumps, so the result does not depend on JUMP_BLOCK.  Raises ValueError,
-    before drawing, when c*T*size exceeds MAX_EXPECTED_JUMPS.
+    before drawing, when c*T*size exceeds MAX_EXPECTED_JUMPS or c*T exceeds
+    MAX_DRAW_JUMPS.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -252,11 +259,17 @@ def sample_deviation(params: ModelParams, driver: DriverSpec, T: float,
     lam, beta, rho = params.lam, params.beta, params.rho
     kf1 = driver.b / lam
     w1 = kernel_weight_integral(1, params, T)
-    x0 = sample_stationary_state(driver, lam, rng, size=n)
-    out = beta * integrated_decay(lam, T) * x0 - T * (beta + rho * lam) * kf1 + driver.b0 * w1
+    # the centering and Gaussian terms are added in place to the X_0 draws
+    out = sample_stationary_state(driver, lam, rng, size=n)
+    out *= beta * integrated_decay(lam, T)
+    out -= T * (beta + rho * lam) * kf1
+    out += driver.b0 * w1
     if driver.C > 0:
         w2 = kernel_weight_integral(2, params, T)
-        out = out + math.sqrt(driver.C * w2) * rng.standard_normal(n)
+        z = rng.standard_normal(n)
+        z *= math.sqrt(driver.C * w2)
+        out += z
+        del z  # freed before the jump runs allocate their buffers
     if driver.has_jumps:
         for i0, i1, u, l, offsets in _jump_runs(rng, driver, T, n):
             out[i0:i1] += _kernels.segment_weighted_sums(u, l, offsets, lam, beta, rho, T,
@@ -271,6 +284,9 @@ def _step_gaussian_cholesky(C: float, lam: float, dt: float) -> tuple[float, flo
     v11 = C*(1-exp(-2*lam*dt))/(2*lam)
     cov = C*(1-exp(-lam*dt))**2/(2*lam**2)
     v22 = C*(dt - 2*k(dt) + (1-exp(-2*lam*dt))/(2*lam))/lam**2
+
+    Raises NonPositiveVarianceError when v11 underflows to 0, as it does for
+    C = 5e-324.
     """
     if C <= 0:
         return 0.0, 0.0, 0.0
@@ -279,6 +295,9 @@ def _step_gaussian_cholesky(C: float, lam: float, dt: float) -> tuple[float, flo
     v11 = C * e2 / (2.0 * lam)
     cov = C * e1 * e1 / (2.0 * lam ** 2)
     v22 = C * (dt - 2.0 * e1 / lam + e2 / (2.0 * lam)) / lam ** 2
+    if not v11 > 0:
+        raise NonPositiveVarianceError(
+            f"step variance v11 of the Gaussian increment of X must be positive, got {v11!r}")
     a11 = math.sqrt(v11)
     a21 = cov / a11
     a22 = math.sqrt(max(v22 - a21 * a21, 0.0))
@@ -300,7 +319,7 @@ def sample_path(params: ModelParams, driver: DriverSpec, T: float, n_steps: int,
     X_0 (unless x0 is given), one block of 2*n_steps standard normals (when
     C > 0), then, when jumps are present, the steps' jumps in `_jump_runs`'s
     order.  Raises ValueError, before drawing, when c*T exceeds
-    MAX_EXPECTED_JUMPS.
+    MAX_DRAW_JUMPS.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")

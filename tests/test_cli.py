@@ -27,6 +27,7 @@ from levyou import (
 from levyou import simulate
 from levyou.cli import main
 from levyou.config import CONFIG_SCHEMA, REPORT_SCHEMA
+from levyou.harness import CHUNK
 
 from conftest import base_config
 from test_simulate import float_canary
@@ -35,14 +36,14 @@ EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_gamma_ou.json"
 
 # theta_hat.json of TestThetaHatCommand's benchmark op, as written with jump
 # arrival times from a child stream, sizes by inversion, the kernels'
-# constants folded into their expm1 forms and the k-statistics combined from
-# CHUNK-sized slices, recorded with numpy 2.4 on x86-64 under test_simulate's
-# two float canaries (with and without AVX-512 exp, expm1 and log).  The
-# draws differ in their last bits between the two, and so do `bias` and
-# `var_se_boot`.
+# constants folded into their expm1 forms and the draws and k-statistics in
+# CHUNK-sized (16384-draw) chunks, recorded with numpy 2.4 on x86-64 under
+# test_simulate's two float canaries (with and without AVX-512 exp, expm1 and
+# log).  The draws differ in their last bits between the two, but at this
+# chunk size the file's bytes do not.
 THETA_HAT_DIGESTS = {
-    "af6c5de4a420a779": "44aaa2eed78b8fd3a22cb35b74ae0e46f221870d307ce09d496b5fa7d5d30a70",
-    "150bdcdaa4cc9966": "eb8090794b0b384931784a570e1033f6b4353d0dc63f61956d8228c13b2483ca",
+    "af6c5de4a420a779": "6b5b0031a30d00bdbc7c27423bb8c0d8ccfc8d57cad738106a7585651635e9c9",
+    "150bdcdaa4cc9966": "6b5b0031a30d00bdbc7c27423bb8c0d8ccfc8d57cad738106a7585651635e9c9",
 }
 
 # path_000.csv .. path_003.csv of TestSimulateCommand's benchmark op, as
@@ -214,13 +215,16 @@ class TestDensityCommand:
         assert (tmp_path / "density_T5.csv").read_text() == expected
 
 
-@pytest.mark.parametrize("subcommand", ["density", "validate", "expect"])
+@pytest.mark.parametrize("subcommand", ["density", "validate", "expect", "simulate"])
 def test_nonpositive_variance_exits_3(subcommand, tmp_path, capsys):
-    # C = 5e-324, the least positive double, gives a variance that underflows to 0.0
+    # C = 5e-324, the least positive double, gives a variance that underflows
+    # to 0.0: the expansion's, or a path step's
     assert run_cli(subcommand, EXAMPLE, tmp_path, "--set", "n_samples=1000", "--set",
                    'driver={"variant":"gaussian","b":0.0,"C":5e-324}') == 3
     err = capsys.readouterr().err
-    assert "model degeneracy: variance sigma must be positive, got 0.0" in err
+    variance = ("step variance v11 of the Gaussian increment of X" if subcommand == "simulate"
+                else "variance sigma")
+    assert f"model degeneracy: {variance} must be positive, got 0.0" in err
 
 
 @pytest.mark.parametrize("subcommand", ["validate", "theta-hat", "simulate"])
@@ -483,11 +487,13 @@ class TestValidateCommand:
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
     def test_worker_count_does_not_change_bytes(self, write_config, tmp_path):
-        path = write_config(base_config(n_samples=20_000))
-        out1, out2 = tmp_path / "w1", tmp_path / "w4"
-        assert run_cli("validate", path, out1, "--workers", "1") == 0
-        assert run_cli("validate", path, out2, "--workers", "4") == 0
-        assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+        path = write_config(base_config(n_samples=2 * CHUNK + 1))  # three chunks
+        files = set()
+        for workers in (1, 2, 4):
+            out = tmp_path / f"w{workers}"
+            assert run_cli("validate", path, out, "--workers", str(workers)) == 0
+            files.add((out / "report.csv").read_bytes())
+        assert len(files) == 1
 
 
 class TestThetaHatCommand:
@@ -502,6 +508,17 @@ class TestThetaHatCommand:
 
     def test_wrong_shape_is_config_error(self, write_config, tmp_path):
         assert run_cli("theta-hat", write_config(base_config()), tmp_path) == 2
+
+    def test_worker_count_does_not_change_bytes(self, write_config, tmp_path):
+        cfg = base_config(params={"lam": 1.0, "gamma": 0.0, "beta": 1.0, "rho": 0.0},
+                          T_grid=[10.0], n_samples=2 * CHUNK + 1)  # three chunks
+        path = write_config(cfg)
+        files = set()
+        for workers in (1, 2, 4):
+            out = tmp_path / f"w{workers}"
+            assert run_cli("theta-hat", path, out, "--workers", str(workers)) == 0
+            files.add((out / "theta_hat.json").read_bytes())
+        assert len(files) == 1
 
     def test_benchmark_op_writes_the_recorded_bytes(self, tmp_path):
         # the benchmark's explore theta-hat op at the example's own seed

@@ -30,7 +30,7 @@ from levyou import (
 )
 from levyou import harness
 from levyou.config import REPORT_SCHEMA
-from levyou.harness import _ks_distance
+from levyou.harness import CHUNK, _ks_distance
 
 from conftest import base_config
 
@@ -161,10 +161,12 @@ class TestKStatistics:
         assert_within_the_oracle_bound(
             rng.exponential(1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n) - 2.0)
 
-    @pytest.mark.parametrize("n", [4, 4095, 4096, 4097, 8193, 9000])
+    @pytest.mark.parametrize("n", [4, 4095, 4096, 4097, 8193, 9000,
+                                   CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
     @pytest.mark.parametrize("law", list(ORACLE_LAWS))
     def test_within_the_oracle_bound(self, law, n):
-        # around the CHUNK-sized slices whose sums k_statistics combines
+        # within one of the CHUNK-sized slices whose sums k_statistics
+        # combines, and around their edges
         assert_within_the_oracle_bound(ORACLE_LAWS[law](np.random.default_rng(n), n))
 
     def test_memory_stays_block_sized(self):
@@ -345,14 +347,21 @@ class TestDrawNormalizedSamples:
         assert np.array_equal(a, b)
 
     def test_worker_count_does_not_change_samples_of_many_runs(self):
-        # c*T = 800: each 4096-draw chunk holds ~3.3M jumps, some 50 runs of
-        # the jump buffers, while other threads draw other chunks
+        # c*T = 800: each whole chunk holds ~13M jumps, some 250 runs of the
+        # jump buffers, while other threads draw other chunks
         params = ModelParams(lam=0.5, gamma=0.1, beta=1.0, rho=0.5)
         driver = DriverSpec.mixed(b=0.8, C=1.0, c=20.0, alpha=1.5)
-        a = draw_normalized_samples(params, driver, 40.0, 10_000, seed=6, workers=1)
+        n = 2 * CHUNK + 1
+        a = draw_normalized_samples(params, driver, 40.0, n, seed=6, workers=1)
         for workers in (2, 4):
-            b = draw_normalized_samples(params, driver, 40.0, 10_000, seed=6, workers=workers)
+            b = draw_normalized_samples(params, driver, 40.0, n, seed=6, workers=workers)
             assert np.array_equal(a, b), workers
+
+    def test_whole_chunks_do_not_depend_on_n(self, gamma_ou):
+        params, driver = gamma_ou
+        a = draw_normalized_samples(params, driver, 5.0, 2 * CHUNK + 1, seed=5, workers=2)
+        b = draw_normalized_samples(params, driver, 5.0, 3 * CHUNK, seed=5, workers=2)
+        assert np.array_equal(a[:2 * CHUNK], b[:2 * CHUNK])
 
     def test_stream_tag_separates_horizons(self, gamma_ou):
         params, driver = gamma_ou
@@ -405,7 +414,7 @@ class TestRunValidation:
     def test_deterministic_across_workers(self, gamma_ou):
         params, driver = gamma_ou
         base = dict(params=params, driver=driver, T_grid=(3.0, 6.0),
-                    p_orders=(2, 3), n_samples=10_000, seed=8,
+                    p_orders=(2, 3), n_samples=2 * CHUNK + 1, seed=8,
                     test_points=(0.0, 1.0))
         r1 = run_validation(ExperimentConfig(**base, workers=1))
         r2 = run_validation(ExperimentConfig(**base, workers=4))
@@ -429,7 +438,7 @@ class TestRunValidation:
         # interrupted while drawing the second horizon, or after its cells
         params, driver = gamma_ou
         cfg = ExperimentConfig(params=params, driver=driver, T_grid=(3.0, 6.0),
-                               p_orders=(2, 3), n_samples=10_000, seed=8,
+                               p_orders=(2, 3), n_samples=2 * CHUNK + 1, seed=8,
                                test_points=(0.0, 1.0), workers=workers)
         full = run_validation(cfg)
         draw, finish = harness.sample_deviation, harness._k_from_sums
@@ -463,7 +472,7 @@ class TestRunValidation:
         # estimate_indicator on the horizon's whole draw array
         params, driver = gamma_ou
         cfg = ExperimentConfig(params=params, driver=driver, T_grid=(3.0, 6.0),
-                               p_orders=(2, 3), n_samples=10_001, seed=8,
+                               p_orders=(2, 3), n_samples=2 * CHUNK + 1, seed=8,
                                test_points=(-1.0, 0.0, 1.0), workers=workers)
         report = run_validation(cfg)
         for t_idx, T in enumerate(cfg.T_grid):
@@ -495,6 +504,26 @@ class TestRunValidation:
         peak(1000)  # a first call also counts numpy's lazy imports
         growth = peak(400_000) - peak(50_000)
         assert growth < 0.3e6, growth
+
+    def test_pending_chunks_do_not_grow_with_the_draws(self, gamma_ou):
+        # 4M draws are 245 chunks, but at most a few are submitted ahead of
+        # the one collected: only the ~100-byte row of each chunk's sums grows
+        params, driver = gamma_ou
+
+        def peak(n):
+            cfg = ExperimentConfig(params=params, driver=driver, T_grid=(5.0,),
+                                   p_orders=(2, 3), n_samples=n, seed=12,
+                                   test_points=(-1.0, 0.0, 1.0), workers=1)
+            tracemalloc.start()
+            try:
+                run_validation(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1000)  # a first call also counts numpy's lazy imports
+        growth = peak(4_000_000) - peak(400_000)
+        assert growth < 50e3, growth
 
     def test_degenerate_flag_propagates(self):
         cfg = ExperimentConfig.from_dict(base_config(

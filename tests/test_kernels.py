@@ -150,8 +150,8 @@ def test_segment_weighted_sums_match_reference(jump_workload):
 
 
 def test_segment_weighted_sums_exact_per_segment_at_high_intensity(rng):
-    # A 4096-draw chunk at c*T = 800: each segment's sum has only its own
-    # rounding, not that of a running sum over the whole chunk.
+    # 4096 draws at c*T = 800: each segment's sum has only its own
+    # rounding, not that of a running sum over all the draws.
     model = lam, beta, rho, T, alpha = 0.5, 1.0, 0.5, 40.0, 1.5
     offsets = _offsets(rng.poisson(800.0, 4096))
     tau = rng.random(offsets[-1])

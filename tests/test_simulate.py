@@ -29,6 +29,7 @@ from levyou import (
     write_path_csv,
 )
 from levyou.config import load_config
+from levyou.harness import CHUNK
 
 KS_LEVEL = 0.001
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_gamma_ou.json"
@@ -171,7 +172,7 @@ def path_digest(model, T, n_steps):
 # drift takes the correctly rounded kernel weight W_1 = 96 + 4 e^{-20} at
 # T = 40.
 DIGEST_CASES = {
-    # ~50 runs
+    # ~62 runs
     "jumps-T40": lambda: deviation_digest(JUMPS_MODEL, 40.0, 4096),
     # ~82k jumps: two runs
     "acc06-T20": lambda: deviation_digest(ACC06_MODEL, 20.0, 4096),
@@ -415,12 +416,12 @@ class TestSampleDeviation:
 
     @pytest.mark.parametrize("stream", STREAMS)
     def test_jump_runs_hold_two_block_buffers(self, stream):
-        # 4096 draws at c*T = 800, ~50 runs: the runs share one arrival-time
-        # and one size buffer of JUMP_BLOCK doubles, and the weights are built
-        # in the arrival times' buffer, so no third jump-sized array is held,
-        # whichever bit generator draws them
+        # a harness chunk at c*T = 800, ~250 runs: the runs share one
+        # arrival-time and one size buffer of JUMP_BLOCK doubles, and the
+        # weights are built in the arrival times' buffer, so no third
+        # jump-sized array is held, whichever bit generator draws them
         params, driver = JUMPS_MODEL
-        n = 4096
+        n = CHUNK
         # a process's first call also counts ~0.8 MB of numpy's lazy imports
         sample_deviation(params, driver, 40.0, STREAMS[stream](), size=n)
         bound = 2 * 8 * simulate.JUMP_BLOCK + 16 * 8 * n
@@ -433,11 +434,11 @@ class TestSampleDeviation:
         assert peak < bound, peak
 
     def test_jump_memory_is_bounded_by_the_block(self):
-        # 4096 draws at c*T = 800 and 3200: 3.3M and 13M jumps, whose
-        # arrival times alone would take 26 and 105 MB as one block; and a
+        # a harness chunk at c*T = 800 and 3200: 13M and 52M jumps, whose
+        # arrival times alone would take 105 and 419 MB as one block; and a
         # path at c*T = 2e6 on 64 and 1e5 steps, 16 MB of arrival times
         params = ModelParams(lam=0.5, gamma=0.1, beta=1.0, rho=0.5)
-        for sampler, c, n in [("deviation", 20.0, 4096), ("deviation", 80.0, 4096),
+        for sampler, c, n in [("deviation", 20.0, CHUNK), ("deviation", 80.0, CHUNK),
                               ("path", 5e4, 64), ("path", 5e4, 100_000)]:
             driver = DriverSpec.mixed(b=0.8, C=1.0, c=c, alpha=1.5)
             bound = 4 * 8 * simulate.JUMP_BLOCK + 16 * 8 * n
@@ -471,8 +472,26 @@ class TestSampleDeviation:
         rng = np.random.default_rng(33)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="jumps"):
-            sample_deviation(params, driver, 1e6, rng, size=4096)
+            sample_deviation(params, driver, 1e6, rng, size=CHUNK)
         assert rng.bit_generator.state == state
+
+    def test_a_chunk_may_expect_65536_jumps_per_draw(self):
+        # MAX_EXPECTED_JUMPS / CHUNK: the largest c*T a harness chunk may have
+        per_draw = simulate.MAX_EXPECTED_JUMPS // CHUNK
+        assert per_draw == 65536
+        simulate._check_jump_budget(DriverSpec.cpexp(b=1.0, c=per_draw, alpha=1.0), 1.0, CHUNK)
+        above = DriverSpec.cpexp(b=1.0, c=math.nextafter(per_draw, math.inf), alpha=1.0)
+        with pytest.raises(ValueError, match="jumps"):
+            simulate._check_jump_budget(above, 1.0, CHUNK)
+
+    def test_one_draw_or_path_may_expect_2_to_the_28_jumps(self):
+        # fewer draws than a chunk do not lift the per-draw limit: two draws
+        # just above it expect about 2^29 jumps, within the call's limit
+        driver = DriverSpec.cpexp(b=1.0, c=1.0, alpha=1.0)
+        for draws in (1, 2):
+            simulate._check_jump_budget(driver, float(1 << 28), draws)
+            with pytest.raises(ValueError, match="jumps"):
+                simulate._check_jump_budget(driver, math.nextafter(1 << 28, math.inf), draws)
 
     def test_expected_jump_limit_is_inclusive(self, gamma_ou, monkeypatch):
         params, driver = gamma_ou  # c = 1
