@@ -46,9 +46,11 @@ JUMP_BLOCK = 13 << 12
 
 # Largest expected jump count of one sampler call, c*T per draw times the
 # draws of the call (a harness chunk of 16384 draws may thus have c*T up to
-# 65536), and of one draw or path, which bounds the jump arrays of a single
-# draw or path step.  A call that expects more is refused before anything is
-# drawn.
+# 65536), and of one draw or path.  A call that expects more is refused
+# before anything is drawn.  The per-draw limit bounds the jump arrays of a
+# single draw or path step, which the per-call limit alone would not: a
+# `simulate` path at c*T = 1e9 (below 2^30) on the default 64 steps would
+# hold two buffers of ~1.6e7 jumps, 250 MB, and on one step 16 GB.
 MAX_EXPECTED_JUMPS = 1 << 30
 MAX_DRAW_JUMPS = 1 << 28
 

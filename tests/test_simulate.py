@@ -416,22 +416,26 @@ class TestSampleDeviation:
 
     @pytest.mark.parametrize("stream", STREAMS)
     def test_jump_runs_hold_two_block_buffers(self, stream):
-        # a harness chunk at c*T = 800, ~250 runs: the runs share one
-        # arrival-time and one size buffer of JUMP_BLOCK doubles, and the
-        # weights are built in the arrival times' buffer, so no third
-        # jump-sized array is held, whichever bit generator draws them
+        # 4096 draws and a harness chunk at c*T = 800, ~60 and ~250 runs: the
+        # runs share one arrival-time and one size buffer of JUMP_BLOCK
+        # doubles, and the weights are built in the arrival times' buffer, so
+        # no third jump-sized array is held, whichever bit generator draws
+        # them.  The call holds about two arrays of one double per draw
+        # besides; the bound allows four, which at both sizes leaves less room
+        # than one more JUMP_BLOCK buffer would take.
         params, driver = JUMPS_MODEL
-        n = CHUNK
-        # a process's first call also counts ~0.8 MB of numpy's lazy imports
-        sample_deviation(params, driver, 40.0, STREAMS[stream](), size=n)
-        bound = 2 * 8 * simulate.JUMP_BLOCK + 16 * 8 * n
-        tracemalloc.start()
-        try:
+        for n in (4096, CHUNK):
+            assert 4 * 8 * n - 2 * 8 * n < 8 * simulate.JUMP_BLOCK
+            # a process's first call also counts ~0.8 MB of numpy's lazy imports
             sample_deviation(params, driver, 40.0, STREAMS[stream](), size=n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound, peak
+            bound = 2 * 8 * simulate.JUMP_BLOCK + 4 * 8 * n
+            tracemalloc.start()
+            try:
+                sample_deviation(params, driver, 40.0, STREAMS[stream](), size=n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (n, peak)
 
     def test_jump_memory_is_bounded_by_the_block(self):
         # a harness chunk at c*T = 800 and 3200: 13M and 52M jumps, whose
