@@ -24,9 +24,11 @@ increments computed from X elementwise.  The scan evaluates the same exact
 per-step law as the loop; it only groups the sum q^k*x0 + sum_j q^(k-j)*c_j
 differently, so X and Y differ from a loop's in the last digits (and are
 no less accurate), while the random stream and the path law are unchanged.
-`path_recursion` builds its step temporaries in its outputs' memory and in
-that of its `g1` and `g2` arguments, which it overwrites, so besides X and Y
-a call allocates no step-sized array.
+`path_recursion` takes each step's innovations as two arrays, `g1` holding
+c_k and `g2` the random part of the step integral, which the sampler builds
+from only the driver parts it has.  It builds its step temporaries in its
+outputs' memory and in that of `g1` and `g2`, which it overwrites, so
+besides X and Y a call allocates no step-sized array.
 
 Every in-place kernel performs the operations of its formula in the
 formula's order, with only the operands of a product or sum commuted, so
@@ -105,9 +107,12 @@ def jump_step_sums(jt, js, offsets, lam, dt, alpha):
 
 
 # --- exact per-step recursion for (X, Y) ----------------------------------
-# x' = q*x + c_k with c_k = drift_x + a11*g1 + dxj ;  step integral i =
-# eta_d*x + drift_i + a21*g1 + a22*g2 + ij ;  dz recovered exactly from
-# dz = (x'-x) + lam*i ;  y' = y + gamma*dt + beta*i + rho*dz.
+# x' = q*x + c_k with c_k = g1[k] ;  step integral i = eta_d*x + drift_i +
+# g2[k] ;  dz recovered exactly from dz = (x'-x) + lam*i ;
+# y' = y + gamma*dt + beta*i + rho*dz.  The sampler passes
+# g1 = a11*z1 + drift_x + dxj and g2 = a21*z1 + a22*z2 + ij, each with only
+# the terms its driver has: the Gaussian pair (z1, z2 standard normals, a the
+# Cholesky factors of the step covariance) and the jump sums (dxj, ij).
 # X is a doubling scan (Hillis-Steele): with X[1:] holding c_k (and q*x0
 # folded into the first), the pass at stride s adds q^s times the value s
 # steps back, so after the passes s = 1, 2, 4, ... < n every X[k] is
@@ -116,16 +121,11 @@ def jump_step_sums(jt, js, offsets, lam, dt, alpha):
 # the pass.  q^s is one pow call: squaring
 # q^s pass by pass compounds a relative error that grows like s*eps.
 
-def path_recursion(x0, q, eta_d, drift_x, drift_i, a11, a21, a22,
-                   g1, g2, dxj, ij, lam, beta, gamma, rho, dt):
+def path_recursion(x0, q, eta_d, drift_i, g1, g2, lam, beta, gamma, rho, dt):
     """X and Y by the recursion above.  g1 and g2 are overwritten."""
     n = g1.size
-    X = np.empty(n + 1)
-    X[0] = x0
+    X = np.concatenate(([x0], g1))
     c = X[1:]
-    np.multiply(a11, g1, out=c)
-    c += drift_x
-    c += dxj
     c[0] += q * x0
     # Y[1:] holds each pass's right-hand side, then i_step until Y's
     # increments, built in g2, are summed into it; dz is built in g1
@@ -139,11 +139,7 @@ def path_recursion(x0, q, eta_d, drift_x, drift_i, a11, a21, a22,
     x = X[:-1]
     i_step = np.multiply(eta_d, x, out=scratch)
     i_step += drift_i
-    g1 *= a21
-    i_step += g1
-    g2 *= a22
     i_step += g2
-    i_step += ij
     dz = np.subtract(X[1:], x, out=g1)
     dz += np.multiply(lam, i_step, out=g2)
     dy = np.multiply(beta, i_step, out=g2)

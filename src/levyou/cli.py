@@ -108,9 +108,8 @@ def cmd_density(ecfg: ExperimentConfig, args) -> int:
     from ._shortest import RowWriter  # imported here so that `import levyou` does not pay for it
 
     if ecfg.params.degenerate:
-        print("model is degenerate (beta + rho*lam = 0): the limiting variance "
-              "vanishes and no expansion density is emitted", file=sys.stderr)
-        return _EXIT_DEGENERATE
+        raise NonPositiveVarianceError("model is degenerate (beta + rho*lam = 0): the limiting "
+                                       "variance vanishes and no expansion density is emitted")
     # a file per horizon, named by T to 6 significant digits: horizons that
     # round alike would overwrite each other, so refuse them before writing
     names = {}

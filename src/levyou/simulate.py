@@ -74,6 +74,10 @@ class DriverSpec:
     def __post_init__(self):
         if self.variant not in ("gaussian", "cpexp", "mixed"):
             raise ValueError(f"unknown driver variant {self.variant!r}")
+        for name in ("b", "C", "c", "alpha"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"driver {name} must be finite, got {v!r}")
         if self.variant in ("gaussian", "mixed") and not self.C > 0:
             raise ValueError("gaussian component requires C > 0")
         if self.variant == "cpexp" and self.C != 0:
@@ -103,7 +107,7 @@ class DriverSpec:
     @property
     def b0(self) -> float:
         """Raw path drift: total mean minus the jump-part mean c/alpha."""
-        return self.b - self.c / self.alpha if self.has_jumps else self.b
+        return self.b - self.c / self.alpha
 
 
 @dataclass(frozen=True)
@@ -123,10 +127,7 @@ def driver_cumulants(driver: DriverSpec, r_max: int) -> CumulantVector:
         raise ValueError("r_max must be >= 2")
     vals = [driver.b]
     for k in range(2, r_max + 1):
-        v = driver.C if k == 2 else 0.0
-        if driver.has_jumps:
-            v += _jump_cumulant(driver.c, driver.alpha, k)
-        vals.append(v)
+        vals.append((driver.C if k == 2 else 0.0) + _jump_cumulant(driver.c, driver.alpha, k))
     return CumulantVector(CumulantKind.DRIVER, tuple(vals))
 
 
@@ -170,7 +171,7 @@ def sample_stationary_state(driver: DriverSpec, lam: float, rng: np.random.Gener
 
 
 def _check_jump_budget(driver: DriverSpec, horizon: float, draws: int) -> None:
-    per_draw = driver.c * horizon if driver.has_jumps else 0.0
+    per_draw = driver.c * horizon
     if per_draw * draws > MAX_EXPECTED_JUMPS or per_draw > MAX_DRAW_JUMPS:
         raise ValueError(
             f"one sampler call would draw about {per_draw * draws:.3g} jumps "
@@ -204,7 +205,8 @@ def _jump_runs(rng: np.random.Generator, driver: DriverSpec, span: float, n: int
     JUMP_BLOCK the draws and rng's final position are the same, and a run
     holds O(max(JUMP_BLOCK, largest span)) memory whatever c*span*n is.
     """
-    offsets = np.zeros(n + 1, dtype=np.int64)
+    offsets = np.empty(n + 1, dtype=np.int64)
+    offsets[0] = 0
     np.cumsum(rng.poisson(driver.c * span, n), out=offsets[1:])
     u_rng = np.random.Generator(type(rng.bit_generator)(int(rng.integers(1 << 63))))
     buf = np.empty((2, min(int(offsets[-1]), JUMP_BLOCK)))
@@ -290,8 +292,6 @@ def _step_gaussian_cholesky(C: float, lam: float, dt: float) -> tuple[float, flo
     Raises NonPositiveVarianceError when v11 underflows to 0, as it does for
     C = 5e-324.
     """
-    if C <= 0:
-        return 0.0, 0.0, 0.0
     e1 = -math.expm1(-lam * dt)       # 1 - exp(-lam*dt)
     e2 = -math.expm1(-2.0 * lam * dt)  # 1 - exp(-2*lam*dt)
     v11 = C * e2 / (2.0 * lam)
@@ -320,8 +320,9 @@ def sample_path(params: ModelParams, driver: DriverSpec, T: float, n_steps: int,
     -log(1 - v)/alpha is its size (`_kernels.jump_step_sums`).  Draw order:
     X_0 (unless x0 is given), one block of 2*n_steps standard normals (when
     C > 0), then, when jumps are present, the steps' jumps in `_jump_runs`'s
-    order.  Raises ValueError, before drawing, when c*T exceeds
-    MAX_DRAW_JUMPS.
+    order.  The steps' two innovation arrays (`_kernels.path_recursion`) are
+    built from only the normals and jump sums the driver has.  Raises
+    ValueError, before drawing, when c*T exceeds MAX_DRAW_JUMPS.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -332,27 +333,37 @@ def sample_path(params: ModelParams, driver: DriverSpec, T: float, n_steps: int,
     lam, beta, gamma, rho = params.lam, params.beta, params.gamma, params.rho
     dt = T / n_steps
     x_start = sample_stationary_state(driver, lam, rng) if x0 is None else float(x0)
-    n = n_steps
-    g1, g2 = rng.standard_normal((2, n)) if driver.C > 0 else np.zeros((2, n))
+    q = math.exp(-lam * dt)
+    eta_d = integrated_decay(lam, dt)
+    drift_x = driver.b0 * eta_d
+    # the steps' innovations g1 = a11*z1 + drift_x + dxj and g2 = a21*z1 +
+    # a22*z2 + ij from the parts the driver has: the normal rows z1, z2 and
+    # the jump sums dxj, ij.  Each sum is taken in that order, its operands
+    # at most commuted, so X has the same bits as with zeros for the rest.
+    if driver.C > 0:
+        a11, a21, a22 = _step_gaussian_cholesky(driver.C, lam, dt)
+        g1, g2 = rng.standard_normal((2, n_steps))
+        g2 *= a22
+        g2 += a21 * g1
+        g1 *= a11
+        g1 += drift_x
     if driver.has_jumps:
         sums = [_kernels.jump_step_sums(u, l, offsets, lam, dt, driver.alpha)
-                for _, _, u, l, offsets in _jump_runs(rng, driver, dt, n)]
+                for _, _, u, l, offsets in _jump_runs(rng, driver, dt, n_steps)]
         # the usual single run is kept as it is: copying it costs ~15% of a path
         dxj, ij = sums[0] if len(sums) == 1 else map(np.concatenate, zip(*sums))
         del sums
-    else:
-        dxj = ij = np.zeros(n)
-    q = math.exp(-lam * dt)
-    eta_d = integrated_decay(lam, dt)
-    b0 = driver.b0
-    drift_x = b0 * eta_d
-    drift_i = b0 * (dt - eta_d) / lam
-    a11, a21, a22 = _step_gaussian_cholesky(driver.C, lam, dt)
-    X, Y = _kernels.path_recursion(x_start, q, eta_d, drift_x, drift_i,
-                                   a11, a21, a22, g1, g2, dxj, ij,
+        if driver.C > 0:
+            g1 += dxj
+            g2 += ij
+        else:
+            g1, g2 = dxj, ij
+            g1 += drift_x
+        del dxj, ij
+    X, Y = _kernels.path_recursion(x_start, q, eta_d, driver.b0 * (dt - eta_d) / lam, g1, g2,
                                    lam, beta, gamma, rho, dt)
-    del g1, g2, dxj, ij  # the step arrays need not outlive the path's
-    times = np.linspace(0.0, T, n + 1)
+    del g1, g2  # the step arrays need not outlive the path's
+    times = np.linspace(0.0, T, n_steps + 1)
     deviation = float(Y[-1]) - expected_terminal(params, driver, T)
     return PathSample(times=times, X=X, Y=Y, deviation=deviation, seed=int(seed))
 

@@ -187,9 +187,10 @@ class TestDensityCommand:
         rows = (tmp_path / "density_T5.csv").read_text().strip().split("\n")
         assert len(rows) == 2
 
-    def test_degenerate_model_exits_3(self, write_config, tmp_path):
+    def test_degenerate_model_exits_3(self, write_config, tmp_path, capsys):
         cfg = base_config(params={"lam": 1.0, "gamma": 0.0, "beta": 1.0, "rho": -1.0})
         assert run_cli("density", write_config(cfg), tmp_path) == 3
+        assert capsys.readouterr().err.startswith("model degeneracy: model is degenerate")
 
     def test_horizons_sharing_a_file_name_exit_2_before_writing(self, write_config,
                                                                tmp_path, capsys):

@@ -78,20 +78,28 @@ def jump_step_sums_formula(jt, js, offsets, lam, dt, alpha):
     return _kernels._segment_sums(ey, offsets), _kernels._segment_sums(my, offsets) / -lam
 
 
-def path_recursion_formula(x0, q, eta_d, drift_x, drift_i, a11, a21, a22,
-                           g1, g2, dxj, ij, lam, beta, gamma, rho, dt):
+def path_inputs(x0, q, eta_d, drift_x, drift_i, a11, a21, a22,
+                z1, z2, dxj, ij, lam, beta, gamma, rho, dt):
+    """path_recursion's arguments from the parts path_recursion_ref takes:
+    the innovations g1 = a11*z1 + drift_x + dxj and g2 = a21*z1 + a22*z2 +
+    ij, summed in sample_path's order."""
+    return (x0, q, eta_d, drift_i, a11 * z1 + drift_x + dxj, a21 * z1 + a22 * z2 + ij,
+            lam, beta, gamma, rho, dt)
+
+
+def path_recursion_formula(x0, q, eta_d, drift_i, g1, g2, lam, beta, gamma, rho, dt):
     n = g1.size
     X = np.empty(n + 1)
     X[0] = x0
     c = X[1:]
-    c[:] = a11 * g1 + drift_x + dxj
+    c[:] = g1
     c[0] += q * x0
     s = 1
     while s < n:
         c[s:] += q ** s * c[:-s]
         s *= 2
     x = X[:-1]
-    i_step = eta_d * x + drift_i + a21 * g1 + a22 * g2 + ij
+    i_step = eta_d * x + drift_i + g2
     dz = (X[1:] - x) + lam * i_step
     return X, np.concatenate(([0.0], np.cumsum(gamma * dt + beta * i_step + rho * dz)))
 
@@ -310,8 +318,8 @@ def test_path_recursion_matches_reference(rng, with_jumps):
     ij = rng.exponential(0.05, n) if with_jumps else np.zeros(n)
     args = (0.4, 0.97, 0.03, 0.001, 0.0005, 0.02, 0.01, 0.007,
             g1, g2, dxj, ij, 1.2, 1.0, 0.3, 0.5, 0.03)
-    X_ref, Y_ref = path_recursion_ref(*args)  # before g1 and g2 are overwritten
-    X, Y = _kernels.path_recursion(*args)
+    X_ref, Y_ref = path_recursion_ref(*args)
+    X, Y = _kernels.path_recursion(*path_inputs(*args))
     assert X.shape == Y.shape == (n + 1,)
     assert X[0] == X_ref[0] and Y[0] == 0.0
     assert max(_scaled_errors((X, Y), (X_ref, Y_ref))) <= 1e-12
@@ -327,8 +335,8 @@ def test_path_recursion_matches_reference(rng, with_jumps):
 def test_path_recursion_edge_cases_match_reference(rng, n, lam_dt):
     lam = 1.0
     args = _path_args(rng, n, lam, lam_dt / lam)
-    ref = path_recursion_ref(*args)  # before g1 and g2 are overwritten
-    got = _kernels.path_recursion(*args)
+    ref = path_recursion_ref(*args)
+    got = _kernels.path_recursion(*path_inputs(*args))
     assert got[0].shape == got[1].shape == (n + 1,)
     assert max(_scaled_errors(got, ref)) <= 1e-12
 
@@ -337,8 +345,12 @@ def test_path_recursion_edge_cases_match_reference(rng, n, lam_dt):
 @pytest.mark.parametrize("with_gaussian", [True, False])
 def test_path_recursion_is_the_formulas_bits(rng, n, lam_dt, with_gaussian):
     args = _path_args(rng, n, 1.0, lam_dt)
-    if not with_gaussian:  # as sample_path passes them: two rows of one array
-        args = args[:5] + (0.0, 0.0, 0.0) + tuple(np.zeros((2, n))) + args[10:]
+    if with_gaussian:
+        args = path_inputs(*args)
+    else:  # as sample_path passes them: jump_step_sums' arrays, drift_x added to dxj
+        dxj, ij = args[10:12]
+        dxj += args[3]
+        args = args[:3] + (args[4], dxj, ij) + args[12:]
     want = path_recursion_formula(*_copies(args))
     got = _kernels.path_recursion(*args)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -363,7 +375,7 @@ def test_path_recursion_extended_precision_oracle(rng, lam, dt):
                  else np.longdouble(a) for a in args)
     oracle = path_recursion_ref(*wide)
     loop_err = _scaled_errors(path_recursion_ref(*args), oracle)
-    scan_err = _scaled_errors(_kernels.path_recursion(*args), oracle)  # overwrites g1, g2
+    scan_err = _scaled_errors(_kernels.path_recursion(*path_inputs(*args)), oracle)
     eps = np.finfo(np.float64).eps
     for scan, loop in zip(scan_err, loop_err):
         assert scan <= 1e-12

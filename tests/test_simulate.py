@@ -100,18 +100,19 @@ def replay_path(params, driver, T, n_steps, rng):
     as in replay_deviation) and the jumps of all steps summed at once."""
     lam, dt = params.lam, T / n_steps
     x0 = sample_stationary_state(driver, lam, rng)
-    g1, g2 = rng.standard_normal(n_steps), rng.standard_normal(n_steps)
+    z1, z2 = rng.standard_normal(n_steps), rng.standard_normal(n_steps)
     counts = rng.poisson(driver.c * dt, n_steps)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     jt = child_stream(rng).random(counts.sum())
     js = np.log(1.0 - rng.random(counts.sum()))
     dxj, ij = _kernels.jump_step_sums(jt, js, offsets, lam, dt, driver.alpha)
     eta_d = integrated_decay(lam, dt)
-    return _kernels.path_recursion(x0, math.exp(-lam * dt), eta_d, driver.b0 * eta_d,
-                                   driver.b0 * (dt - eta_d) / lam,
-                                   *simulate._step_gaussian_cholesky(driver.C, lam, dt),
-                                   g1, g2, dxj, ij, lam, params.beta, params.gamma,
-                                   params.rho, dt)
+    a11, a21, a22 = simulate._step_gaussian_cholesky(driver.C, lam, dt)
+    g1 = a11 * z1 + driver.b0 * eta_d + dxj
+    g2 = a21 * z1 + a22 * z2 + ij
+    return _kernels.path_recursion(x0, math.exp(-lam * dt), eta_d,
+                                   driver.b0 * (dt - eta_d) / lam, g1, g2,
+                                   lam, params.beta, params.gamma, params.rho, dt)
 
 
 def _pcg64_with_buffered_uint32():
@@ -186,13 +187,13 @@ RECORDED_DIGESTS = {
         "jumps-T40": "cbbd546c46e0f87e9b1e07167b2f9a5fa2ff14a25701eb8b48003ae2a4748c5e",
         "acc06-T20": "fdd6b1db6987df424eaa0c1b1211d1f5b36953aac68e47c885c23b6fab72c8b9",
         "acc06-T20-one-run": "d776863c8d8cc519279b1aecb2fec03ddf6303d61ddb68c7ee9fcba629561192",
-        "path-T4000": "1e3e739fe01a77def6bcc3af3705647b90ad8f3b5e45089a0c4d54f18a60119a",
+        "path-T4000": "95fdb1673a6f8f96f4522611b49f8dedd46a5b8da4999e653db2be10a25ebd30",
     },
     "150bdcdaa4cc9966": {
         "jumps-T40": "12e564b45b7609dd32e6f3f3429f1e17f14c0baee086f53f5208292e3c10ff5d",
         "acc06-T20": "0c5902897023f56e07fa70c08917cbb65930551d8f9262cbfed72131120b30dd",
         "acc06-T20-one-run": "c0a37e1a1e70dde7b812daebd6a973577591948924e1a0a7b366361bf12ab48b",
-        "path-T4000": "9ee9a2af573ddddd057a0495419f326d1f62be138dde7492f1747f3aa9ebfbe8",
+        "path-T4000": "e0121f86acb1b9c49b60c05b3e7aeff50d2a7881b4d6b9eeb97ee750d4c686da",
     },
 }
 
@@ -217,6 +218,17 @@ class TestDriverSpec:
             DriverSpec(variant="stable")
         with pytest.raises(ValueError):
             DriverSpec(variant="cpexp", C=1.0, c=1.0, alpha=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["b", "C", "c", "alpha"])
+    def test_non_finite_fields_are_refused(self, field, value):
+        fields = {"b": 1.0, "C": 1.0, "c": 1.0, "alpha": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^driver {field} must be finite, got"):
+            DriverSpec(variant="mixed", **fields)
+        # a config built in code, whose driver the schema check does not see
+        with pytest.raises(ValueError, match=f"^driver {field} must be finite, got"):
+            ExperimentConfig(params=ModelParams(lam=1.0, gamma=0.0, beta=1.0, rho=0.5),
+                             driver=DriverSpec.mixed(**fields), T_grid=(5.0,))
 
     def test_raw_drift(self):
         assert DriverSpec.gaussian(b=0.7, C=1.0).b0 == 0.7
@@ -568,7 +580,7 @@ class TestSamplePath:
 
     def test_memory_holds_the_outputs_and_the_step_arrays(self):
         # the shipped example at 100k steps: X, Y and times, and the step
-        # arrays g1, g2, dxj and ij, in which the step temporaries are built
+        # arrays g1 and g2, in which the step temporaries are built
         ecfg = ExperimentConfig.from_dict(load_config(EXAMPLE))
         n = 100_000
         sample_path(ecfg.params, ecfg.driver, ecfg.T_grid[0], 1000, seed=70)
@@ -579,6 +591,28 @@ class TestSamplePath:
         finally:
             tracemalloc.stop()
         assert peak < 8.5 * 8 * n, peak / (8 * n)
+
+    @pytest.mark.parametrize("variant, bound", [("cpexp", 36), ("gaussian", 36), ("mixed", 45)])
+    def test_path_memory_per_step(self, variant, bound):
+        # tracemalloc peak in bytes per step of a 100k-step path of the
+        # example model.  The kernel holds X, Y and the innovations g1 and g2
+        # (32 B/step), built from only the parts the driver has; a mixed
+        # driver's peak is earlier, while its Gaussian innovations wait for
+        # the jump sums (41 B/step: g1, g2, the steps' jump offsets and the
+        # two sums).  Each bound is the measured peak with less slack than
+        # one more array of 8 B/step.
+        ecfg = ExperimentConfig.from_dict(load_config(EXAMPLE))
+        driver = {"cpexp": ecfg.driver, "gaussian": DriverSpec.gaussian(b=1.0, C=1.0),
+                  "mixed": DriverSpec.mixed(b=1.0, C=1.0, c=1.0, alpha=1.0)}[variant]
+        n = 100_000
+        sample_path(ecfg.params, driver, ecfg.T_grid[0], 1000, seed=70)
+        tracemalloc.start()
+        try:
+            sample_path(ecfg.params, driver, ecfg.T_grid[0], n, seed=71)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * n, peak / n
 
     def test_csv_dump(self, gamma_ou):
         params, driver = gamma_ou
