@@ -289,7 +289,7 @@ def _scaled_errors(got, ref):
 
 
 def _path_args(rng, n, lam, dt):
-    """path_recursion arguments as sample_path builds them, for a mixed
+    """path_recursion_ref's parts as sample_path draws them, for a mixed
     driver (b = 0.5, C = 1, c = 1, alpha = 1) and beta = 1, gamma = 0.2,
     rho = 0.5, starting from a stationary draw."""
     q = math.exp(-lam * dt)

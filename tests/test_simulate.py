@@ -592,7 +592,8 @@ class TestSamplePath:
             tracemalloc.stop()
         assert peak < 8.5 * 8 * n, peak / (8 * n)
 
-    @pytest.mark.parametrize("variant, bound", [("cpexp", 36), ("gaussian", 36), ("mixed", 45)])
+    @pytest.mark.parametrize("variant, bound", [("cpexp", 36), ("gaussian", 36), ("mixed", 45)],
+                             ids=["cpexp", "gaussian", "mixed"])
     def test_path_memory_per_step(self, variant, bound):
         # tracemalloc peak in bytes per step of a 100k-step path of the
         # example model.  The kernel holds X, Y and the innovations g1 and g2
