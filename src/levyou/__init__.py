@@ -43,6 +43,7 @@ from .simulate import (
     PathSample,
     driver_cumulants,
     expected_terminal,
+    float_canary,
     sample_deviation,
     sample_path,
     sample_stationary_state,

@@ -15,7 +15,8 @@ of each jump from expm1, so the weights keep their accuracy however small
 lam*span is.  `segment_weighted_sums` builds the weighted terms in its
 `tau` argument's own memory, overwriting the uniforms, and
 `jump_step_sums` builds its terms in `jt`'s and the sizes in `js`'s, so
-neither allocates a jump-sized array.
+neither allocates a jump-sized array; `jump_step_sums` adds its sums into
+the caller's step arrays.
 
 The per-step X update of the path sampler is affine with one constant
 factor, x' = q*x + c_k, so X is a doubling scan: ceil(log2 n) whole-array
@@ -90,20 +91,31 @@ def segment_weighted_sums(tau, sizes, offsets, lam, beta, rho, T, alpha):
 # dxj[k] = sum exp(-lam*s)*y,  ij[k] = sum k(s)*y  with k(s) =
 # (1-exp(-lam*s))/lam the integrated decay.  Both come from m =
 # expm1(-lam*s):  ij[k] = -(sum m*y)/lam, accurate however small lam*dt is,
-# and each term of dxj is m*y + y, within a few ulp of |y|.
+# and each term of dxj is m*y + y, within a few ulp of |y|.  The sums of the
+# steps with jumps are added into the caller's dx and di, so no step-sized
+# array is allocated: dx[k] + dxj[k] and di[k] + ij[k] are the bits of the
+# sums added to fresh arrays, and a step without jumps leaves dx[k] and
+# di[k] as they are, which is what adding 0.0 and -0.0 (-(0.0)/lam) does,
+# but for dx[k] = -0.0.
 
-def jump_step_sums(jt, js, offsets, lam, dt, alpha):
-    """The sums above.  jt is overwritten by exp(-lam*s)*y and js by y."""
+def jump_step_sums(jt, js, offsets, lam, dt, alpha, dx, di):
+    """dx += dxj and di += ij, the sums above.  jt is overwritten by
+    exp(-lam*s)*y and js by y."""
+    full = np.flatnonzero(offsets[1:] > offsets[:-1])
+    if not full.size:
+        return
+    starts = offsets[full]
     # the formulas above, operation by operation: m, then m*y, then m*y + y
     # in jt's memory, and the sizes y in js's
     m = np.multiply(jt, max(-lam * dt, -_FLOAT_MAX), out=jt)
     np.expm1(m, out=m)
     js *= -1.0 / alpha
     m *= js
-    ij = _segment_sums(m, offsets)
+    ij = np.add.reduceat(m, starts)
     ij /= -lam
+    di[full] += ij
     m += js
-    return _segment_sums(m, offsets), ij
+    dx[full] += np.add.reduceat(m, starts)
 
 
 # --- exact per-step recursion for (X, Y) ----------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .cumulants import ModelParams, normalized_cumulant_limit
 from .edgeworth import ExpansionCoefficients, cdf, expansion_coefficients
-from .simulate import DriverSpec, _check_jump_budget, sample_deviation
+from .simulate import DriverSpec, _check_jump_budget, float_canary, sample_deviation
 
 __all__ = [
     "CHUNK",
@@ -231,7 +231,7 @@ class MCReport:
             "cumulants": self.cumulants,
             "checks": self.checks,
             "footnotes": list(self.footnotes),
-            "meta": {"wall_time_s": self.wall_time_s},
+            "meta": {"wall_time_s": self.wall_time_s, "float_canary": float_canary()},
         }
 
     def write_cells_csv(self, fileobj) -> None:

@@ -9,6 +9,7 @@ laws; there is no discretization bias at any step size.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ __all__ = [
     "sample_path",
     "expected_terminal",
     "write_path_csv",
+    "float_canary",
 ]
 
 # Both samplers draw jumps and sum them in runs of whole draws (or path
@@ -179,6 +181,98 @@ def _check_jump_budget(driver: DriverSpec, horizon: float, draws: int) -> None:
             f"of {MAX_EXPECTED_JUMPS} per call and {MAX_DRAW_JUMPS} per draw")
 
 
+def _poisson_table(mean: float):
+    """Poisson(mean) tabulated for inversion, as (lo, cdf, guide).
+
+    The table holds the counts lo..lo+K-1, from mean - 13 sd to mean + 13 sd
+    + 6 (cut at 0), outside which the Poisson mass is below 1e-19.  The pmf is
+    built by the ratio recurrence p(k+1)/p(k) = mean/(k+1) out from the mode,
+    which is 1, and normalized by its sum, so no large factorial or
+    exp(-mean) cancels.  cdf[i] is P(N <= lo + i) times M = guide.size, a
+    power of two at least 2K, with cdf[-1] = M exactly.  guide[j] is the
+    number of cdf entries <= j (Chen & Asau 1974; Devroye 1986, III.2).  A
+    mean that underflows to 0 gives the table of count 0 alone.
+    """
+    sd = math.sqrt(mean)
+    lo = max(0, math.floor(mean - 13.0 * sd))
+    hi = math.ceil(mean + 13.0 * sd) + 6
+    mode = math.floor(mean)
+    cdf = np.empty(hi - lo + 1)
+    cdf[mode - lo] = 1.0
+    up = cdf[mode - lo + 1:]
+    np.divide(mean, np.arange(mode + 1, hi + 1, dtype=float), out=up)
+    np.cumprod(up, out=up)
+    if mode > lo:
+        down = cdf[mode - lo - 1::-1]
+        np.divide(np.arange(mode, lo, -1, dtype=float), mean, out=down)
+        np.cumprod(down, out=down)
+    np.cumsum(cdf, out=cdf)
+    scale = 1 << (2 * cdf.size - 1).bit_length()
+    cdf *= scale / cdf[-1]
+    cdf[-1] = scale
+    return lo, cdf, np.searchsorted(cdf, np.arange(scale, dtype=float), side="right")
+
+
+# Counts are inverted this many at a time, so the temporaries of a call stay
+# below one 8-byte array per count
+COUNT_BLOCK = 1 << 12
+
+
+def _poisson_counts(rng: np.random.Generator, mean: float, out: np.ndarray) -> np.ndarray:
+    """out's int64 slots filled with Poisson(mean) counts; returns out.
+
+    Each count is one rng.random() double u, inverted through
+    `_poisson_table(mean)`: the count lo + i for the least i with
+    cdf[i] > u*M.  u*M is exact, as M is a power of two; its bucket
+    j = floor(u*M) gives i >= guide[j] at once, one more step finds most of
+    the rest, and the few draws whose bucket holds more entries are found by
+    bisection.  The uniforms are drawn COUNT_BLOCK at a time, which reads the
+    stream as one call would.
+    """
+    lo, cdf, guide = _poisson_table(mean)
+    scale = float(guide.size)
+    u = np.empty(min(out.size, COUNT_BLOCK))
+    for s in range(0, out.size, COUNT_BLOCK):
+        k = out[s:s + COUNT_BLOCK]
+        v = rng.random(out=u[:k.size])
+        v *= scale
+        k[...] = v
+        np.take(guide, k, out=k, mode="clip")
+        i = np.flatnonzero(cdf[k] <= v)
+        k[i] += 1
+        i = i[cdf[k[i]] <= v[i]]
+        if i.size:
+            k[i] = np.searchsorted(cdf, v[i], side="right")
+    if lo:
+        out += lo
+    return out
+
+
+def float_canary() -> str:
+    """A 16-hex-digit digest of numpy's elementwise exp, expm1 and log and of
+    the draws the samplers take: uniforms, the jump counts by inversion,
+    gammas and normals.  numpy's exp, expm1 and log take different code
+    paths on different CPUs (AVX-512 or not) and versions, which move the
+    last bits of the draws and so the report and path bytes; equal canaries
+    mean the same arithmetic.  It takes well under a millisecond.
+    """
+    rng = np.random.default_rng(0)
+    n = 1 << 10
+    x = rng.uniform(-40.0, 0.0, n)
+    counts = np.empty(n, dtype=np.int64)
+    # each part is hashed as it is made, so the call holds about three of
+    # them (8 KiB each) at a time
+    h = hashlib.sha256(np.expm1(x))
+    h.update(np.exp(x))
+    h.update(np.log(1.0 - rng.random(n)))
+    h.update(_poisson_counts(rng, 800.0, counts))
+    h.update(_poisson_counts(rng, 0.8, counts))
+    h.update(rng.gamma(40.0, 1.0 / 1.5, n))
+    h.update(rng.gamma(1.0, 1.0, n))
+    h.update(rng.standard_normal(n))
+    return h.hexdigest()[:16]
+
+
 def _jump_runs(rng: np.random.Generator, driver: DriverSpec, span: float, n: int):
     """Compound-Poisson jumps of n spans of length `span`, run by run.
 
@@ -207,7 +301,8 @@ def _jump_runs(rng: np.random.Generator, driver: DriverSpec, span: float, n: int
     """
     offsets = np.empty(n + 1, dtype=np.int64)
     offsets[0] = 0
-    np.cumsum(rng.poisson(driver.c * span, n), out=offsets[1:])
+    counts = _poisson_counts(rng, driver.c * span, offsets[1:])
+    np.cumsum(counts, out=counts)
     u_rng = np.random.Generator(type(rng.bit_generator)(int(rng.integers(1 << 63))))
     buf = np.empty((2, min(int(offsets[-1]), JUMP_BLOCK)))
     i0 = 0
@@ -338,8 +433,11 @@ def sample_path(params: ModelParams, driver: DriverSpec, T: float, n_steps: int,
     drift_x = driver.b0 * eta_d
     # the steps' innovations g1 = a11*z1 + drift_x + dxj and g2 = a21*z1 +
     # a22*z2 + ij from the parts the driver has: the normal rows z1, z2 and
-    # the jump sums dxj, ij.  Each sum is taken in that order, its operands
-    # at most commuted, so X has the same bits as with zeros for the rest.
+    # the jump sums dxj, ij, which each run adds into its steps.  Without
+    # normals g1 starts at drift_x and g2 at -0.0, which ij's -(0.0)/lam of a
+    # step without jumps would be; each sum is taken in that order, its
+    # operands at most commuted, so X and Y have the same bits as with fresh
+    # arrays of the jump sums and zeros for the rest.
     if driver.C > 0:
         a11, a21, a22 = _step_gaussian_cholesky(driver.C, lam, dt)
         g1, g2 = rng.standard_normal((2, n_steps))
@@ -347,19 +445,12 @@ def sample_path(params: ModelParams, driver: DriverSpec, T: float, n_steps: int,
         g2 += a21 * g1
         g1 *= a11
         g1 += drift_x
+    else:
+        g1, g2 = np.full(n_steps, drift_x), np.full(n_steps, -0.0)
     if driver.has_jumps:
-        sums = [_kernels.jump_step_sums(u, l, offsets, lam, dt, driver.alpha)
-                for _, _, u, l, offsets in _jump_runs(rng, driver, dt, n_steps)]
-        # the usual single run is kept as it is: copying it costs ~15% of a path
-        dxj, ij = sums[0] if len(sums) == 1 else map(np.concatenate, zip(*sums))
-        del sums
-        if driver.C > 0:
-            g1 += dxj
-            g2 += ij
-        else:
-            g1, g2 = dxj, ij
-            g1 += drift_x
-        del dxj, ij
+        for i0, i1, u, l, offsets in _jump_runs(rng, driver, dt, n_steps):
+            _kernels.jump_step_sums(u, l, offsets, lam, dt, driver.alpha, g1[i0:i1], g2[i0:i1])
+        del u, l, offsets  # the last run's buffers and the steps' offsets
     X, Y = _kernels.path_recursion(x_start, q, eta_d, driver.b0 * (dt - eta_d) / lam, g1, g2,
                                    lam, beta, gamma, rho, dt)
     del g1, g2  # the step arrays need not outlive the path's

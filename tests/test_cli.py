@@ -20,6 +20,7 @@ from levyou import (
     density,
     driver_cumulants,
     expansion_coefficients,
+    float_canary,
     normalized_cumulant_limit,
     sample_path,
     stationary_cumulants,
@@ -30,39 +31,38 @@ from levyou.config import CONFIG_SCHEMA, REPORT_SCHEMA
 from levyou.harness import CHUNK
 
 from conftest import base_config
-from test_simulate import float_canary
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_gamma_ou.json"
 
 # theta_hat.json of TestThetaHatCommand's benchmark op, as written with jump
-# arrival times from a child stream, sizes by inversion, the kernels'
-# constants folded into their expm1 forms and the draws and k-statistics in
-# CHUNK-sized (16384-draw) chunks, recorded with numpy 2.4 on x86-64 under
-# test_simulate's two float canaries (with and without AVX-512 exp, expm1 and
-# log).  The draws differ in their last bits between the two, but at this
+# counts by guide-table inversion, arrival times from a child stream, sizes
+# by inversion, the kernels' constants folded into their expm1 forms and the
+# draws and k-statistics in CHUNK-sized (16384-draw) chunks, recorded with
+# numpy 2.4 on x86-64 under the two float canaries (`levyou.float_canary()`,
+# with and without AVX-512 exp, expm1 and log).  The draws differ in their last bits between the two, but at this
 # chunk size the file's bytes do not.
 THETA_HAT_DIGESTS = {
-    "af6c5de4a420a779": "6b5b0031a30d00bdbc7c27423bb8c0d8ccfc8d57cad738106a7585651635e9c9",
-    "150bdcdaa4cc9966": "6b5b0031a30d00bdbc7c27423bb8c0d8ccfc8d57cad738106a7585651635e9c9",
+    "5ae24f5423a60241": "70af38ddb63095c311eea06692e51471b9a99715def97d0559d19337412c6bee",
+    "0e9b78da95299c0e": "70af38ddb63095c311eea06692e51471b9a99715def97d0559d19337412c6bee",
 }
 
 # path_000.csv .. path_003.csv of TestSimulateCommand's benchmark op, as
-# written with jump arrival times from a child stream, sizes by inversion and
-# the kernels' constants folded into their expm1 forms, recorded with numpy
-# 2.4 on x86-64 under test_simulate's two float canaries, which give these
-# paths the same bits.
+# written with jump counts by guide-table inversion, arrival times from a
+# child stream, sizes by inversion and the kernels' constants folded into
+# their expm1 forms, recorded with numpy 2.4 on x86-64 under the two float
+# canaries, which give these paths the same bits.
 SIMULATE_DIGESTS = {
-    "af6c5de4a420a779": (
-        "f339e85af931026327291dc65d4d34ef2ac043f4ec41c97f373348315410e21a",
-        "f033bf11f132bbde7736515c04b5e344f950023b91e8638054d21514bcb9b13c",
-        "7a8c478fcc78d61a924335f07aff8568663f898e28366511eb0e53c9b63bebc3",
-        "69cdbfa2a95c2328ccf5c91954f3af962afe92714952323e651047f84294bf3f",
+    "5ae24f5423a60241": (
+        "54ab2165b7b7fb12b2e8cb919ce55e2d541a74898717ccd3f58618e9942438ee",
+        "69e748017fcc7aa8a794a6b54018cf82d7dd5f2c987b8c923f186c84ca999c45",
+        "9fee78324da9de2bc6cbd1ddf621b61d5f4a2f6b1b6eb3af0cc7d5077b9648a4",
+        "259c5b5ccb3e3236b4a3e9427e021dc733dd8b633dc7c51e3c23ba80d43548a4",
     ),
-    "150bdcdaa4cc9966": (
-        "f339e85af931026327291dc65d4d34ef2ac043f4ec41c97f373348315410e21a",
-        "f033bf11f132bbde7736515c04b5e344f950023b91e8638054d21514bcb9b13c",
-        "7a8c478fcc78d61a924335f07aff8568663f898e28366511eb0e53c9b63bebc3",
-        "69cdbfa2a95c2328ccf5c91954f3af962afe92714952323e651047f84294bf3f",
+    "0e9b78da95299c0e": (
+        "54ab2165b7b7fb12b2e8cb919ce55e2d541a74898717ccd3f58618e9942438ee",
+        "69e748017fcc7aa8a794a6b54018cf82d7dd5f2c987b8c923f186c84ca999c45",
+        "9fee78324da9de2bc6cbd1ddf621b61d5f4a2f6b1b6eb3af0cc7d5077b9648a4",
+        "259c5b5ccb3e3236b4a3e9427e021dc733dd8b633dc7c51e3c23ba80d43548a4",
     ),
 }
 

@@ -78,6 +78,13 @@ def jump_step_sums_formula(jt, js, offsets, lam, dt, alpha):
     return _kernels._segment_sums(ey, offsets), _kernels._segment_sums(my, offsets) / -lam
 
 
+def step_sums(jt, js, offsets, lam, dt, alpha):
+    """jump_step_sums added into zeros: the step sums dxj and ij."""
+    dxj, ij = np.zeros(offsets.size - 1), np.zeros(offsets.size - 1)
+    _kernels.jump_step_sums(jt, js, offsets, lam, dt, alpha, dxj, ij)
+    return dxj, ij
+
+
 def path_inputs(x0, q, eta_d, drift_x, drift_i, a11, a21, a22,
                 z1, z2, dxj, ij, lam, beta, gamma, rho, dt):
     """path_recursion's arguments from the parts path_recursion_ref takes:
@@ -227,7 +234,7 @@ def test_segment_weighted_sums_at_the_ends_of_the_uniforms():
 def test_jump_step_sums_at_the_ends_of_the_uniforms():
     jt, js, offsets = _edge_jumps()
     ref = jump_step_sums_ref(jt, js, offsets, 0.8, 0.05, 1.5)
-    got = _kernels.jump_step_sums(jt, js, offsets, 0.8, 0.05, 1.5)
+    got = step_sums(jt, js, offsets, 0.8, 0.05, 1.5)
     for g, r in zip(got, ref):
         assert np.all(np.isfinite(g))
         np.testing.assert_allclose(g, r, rtol=1e-13, atol=1e-14)
@@ -252,7 +259,7 @@ def test_jump_step_sums_match_reference(rng):
     for lam, dt in STEP_MODELS:
         jt, js = u.copy(), l.copy()
         ref = jump_step_sums_ref(jt, js, offsets, lam, dt, 1.5)
-        got = _kernels.jump_step_sums(jt, js, offsets, lam, dt, 1.5)
+        got = step_sums(jt, js, offsets, lam, dt, 1.5)
         for g, r in zip(got, ref):
             np.testing.assert_allclose(g, r, rtol=1e-13, atol=1e-14)
             assert np.all(g[counts == 0] == 0.0)
@@ -266,7 +273,7 @@ def test_jump_step_sums_are_the_formulas_bits_and_overwrite_jt(jump_workload):
         want = jump_step_sums_formula(jt, js, offsets, lam, dt, 1.5)
         _, ey, y = jump_step_sums_terms(jt, js, lam, dt, 1.5)
         model_ey = np.exp(-lam * (dt * jt)) * (-js / 1.5)
-        got = _kernels.jump_step_sums(jt, js, offsets, lam, dt, 1.5)
+        got = step_sums(jt, js, offsets, lam, dt, 1.5)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert np.array_equal(jt, ey) and np.array_equal(js, y)
         assert np.all(np.abs(jt - model_ey) <= 4 * np.finfo(float).eps * np.abs(y)), (lam, dt)
@@ -275,9 +282,42 @@ def test_jump_step_sums_are_the_formulas_bits_and_overwrite_jt(jump_workload):
 def test_jump_step_sums_no_jumps():
     offsets = np.zeros(4, dtype=np.int64)
     empty = np.empty(0)
-    dxj, ij = _kernels.jump_step_sums(empty, empty, offsets, 0.8, 0.05, 1.5)
-    assert np.array_equal(dxj, np.zeros(3)) and np.array_equal(ij, np.zeros(3))
-    assert dxj.dtype == ij.dtype == np.float64
+    dx, di = np.arange(3.0), np.full(3, -0.0)
+    _kernels.jump_step_sums(empty, empty, offsets, 0.8, 0.05, 1.5, dx, di)
+    assert np.array_equal(dx, np.arange(3.0))
+    assert np.array_equal(di.view(np.int64), np.full(3, -0.0).view(np.int64))
+
+
+@pytest.mark.parametrize("with_gaussian", [True, False])
+def test_jump_step_sums_add_with_the_fresh_arrays_bits(jump_workload, with_gaussian):
+    # Added into the step arrays as sample_path lays them out, run by run,
+    # the sums give the bits of the fresh step sums added to those arrays:
+    # to the Gaussian innovations, or to drift_x and -0.0 for a driver
+    # without them, where the fresh arrays were dxj + drift_x and ij
+    # themselves.  So do X and Y.
+    rng = np.random.default_rng(37)
+    lam, dt, drift_x = 0.8, 0.05, -0.02
+    jt, js, offsets = jump_workload
+    n = offsets.size - 1
+    dxj, ij = jump_step_sums_formula(jt, js, offsets, lam, dt, 1.5)
+    if with_gaussian:
+        g1, g2 = rng.standard_normal((2, n))
+        want = g1 + dxj, g2 + ij
+    else:
+        g1, g2 = np.full(n, drift_x), np.full(n, -0.0)
+        want = dxj + drift_x, ij
+    mid = n // 3  # two runs, the second's offsets and jumps from its own start
+    for i0, i1 in ((0, mid), (mid, n)):
+        lo, hi = offsets[i0], offsets[i1]
+        _kernels.jump_step_sums(jt[lo:hi].copy(), js[lo:hi].copy(), offsets[i0:i1 + 1] - lo,
+                                lam, dt, 1.5, g1[i0:i1], g2[i0:i1])
+    assert all(np.array_equal(g.view(np.int64), w.view(np.int64))
+               for g, w in zip((g1, g2), want))
+    args = (0.3, math.exp(-lam * dt), integrated_decay(lam, dt), 0.001)
+    tail = (lam, 1.0, 0.2, 0.5, dt)
+    got = _kernels.path_recursion(*args, g1, g2, *tail)
+    fresh = _kernels.path_recursion(*args, *_copies(want), *tail)
+    assert all(np.array_equal(g, f) for g, f in zip(got, fresh))
 
 
 def _scaled_errors(got, ref):
@@ -300,7 +340,7 @@ def _path_args(rng, n, lam, dt):
     offsets = _offsets(counts)
     jt = rng.random(offsets[-1])
     js = np.log(1.0 - rng.random(offsets[-1]))
-    dxj, ij = _kernels.jump_step_sums(jt, js, offsets, lam, dt, 1.0)
+    dxj, ij = step_sums(jt, js, offsets, lam, dt, 1.0)
     x0 = b0 / lam + rng.gamma(1.0 / lam, 1.0)
     return (x0, q, eta_d, b0 * eta_d, b0 * (dt - eta_d) / lam, a11, a21, a22,
             rng.standard_normal(n), rng.standard_normal(n), dxj, ij,
@@ -347,7 +387,7 @@ def test_path_recursion_is_the_formulas_bits(rng, n, lam_dt, with_gaussian):
     args = _path_args(rng, n, 1.0, lam_dt)
     if with_gaussian:
         args = path_inputs(*args)
-    else:  # as sample_path passes them: jump_step_sums' arrays, drift_x added to dxj
+    else:  # the step sums alone, drift_x added to dxj
         dxj, ij = args[10:12]
         dxj += args[3]
         args = args[:3] + (args[4], dxj, ij) + args[12:]

@@ -18,6 +18,7 @@ from levyou import (
     cumulant_table,
     driver_cumulants,
     expected_terminal,
+    float_canary,
     integrated_decay,
     k_statistics,
     kernel_weight_integral,
@@ -47,7 +48,7 @@ def jump_counts(sampler, params, driver, span, seed, n):
         n_normals = n
     if driver.C > 0:
         rng.standard_normal(n_normals)
-    return rng.poisson(driver.c * span, n)
+    return inverted_counts(rng, driver.c * span, n)
 
 
 def sample_deviation_and_next(params, driver, span, seed, n):
@@ -64,6 +65,12 @@ def sample_path_xy(params, driver, span, seed, n):
 # (with the stream's next double, for its final position), or the X and Y of
 # one path of n steps of length span.
 SAMPLERS = {"deviation": sample_deviation_and_next, "path": sample_path_xy}
+
+
+def inverted_counts(rng, mean, n):
+    """n Poisson(mean) counts as `simulate._jump_runs` draws them: one
+    rng.random() each, inverted through scipy's exact quantile function."""
+    return np.maximum(stats.poisson.ppf(rng.random(n), mean), 0).astype(np.int64)
 
 
 def child_stream(rng):
@@ -86,7 +93,7 @@ def replay_deviation(params, driver, T, rng, size):
     if driver.C > 0:
         base = base + (math.sqrt(driver.C * kernel_weight_integral(2, params, T))
                        * rng.standard_normal(size))
-    counts = rng.poisson(driver.c * T, size)
+    counts = inverted_counts(rng, driver.c * T, size)
     to_horizon = T * child_stream(rng).random(counts.sum())  # T - (arrival time), in law
     sizes = -np.log(1.0 - rng.random(counts.sum())) / driver.alpha
     terms = ((rho + beta * (-np.expm1(-lam * to_horizon)) / lam) * sizes).tolist()
@@ -101,11 +108,12 @@ def replay_path(params, driver, T, n_steps, rng):
     lam, dt = params.lam, T / n_steps
     x0 = sample_stationary_state(driver, lam, rng)
     z1, z2 = rng.standard_normal(n_steps), rng.standard_normal(n_steps)
-    counts = rng.poisson(driver.c * dt, n_steps)
+    counts = inverted_counts(rng, driver.c * dt, n_steps)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     jt = child_stream(rng).random(counts.sum())
     js = np.log(1.0 - rng.random(counts.sum()))
-    dxj, ij = _kernels.jump_step_sums(jt, js, offsets, lam, dt, driver.alpha)
+    dxj, ij = np.zeros(n_steps), np.zeros(n_steps)
+    _kernels.jump_step_sums(jt, js, offsets, lam, dt, driver.alpha, dxj, ij)
     eta_d = integrated_decay(lam, dt)
     a11, a21, a22 = simulate._step_gaussian_cholesky(driver.C, lam, dt)
     g1 = a11 * z1 + driver.b0 * eta_d + dxj
@@ -139,20 +147,6 @@ ACC06_MODEL = (ModelParams(lam=1.0, gamma=0.0, beta=1.0, rho=0.5),
                DriverSpec.cpexp(b=1.0, c=1.0, alpha=1.0))
 
 
-def float_canary():
-    """A digest of the elementwise exp, expm1 and log and the distributions
-    the samplers draw from.  numpy's exp, expm1 and log take different code
-    paths on different CPUs (AVX-512 or not) and versions, which move last
-    bits of the draws; equal canaries mean the same arithmetic."""
-    rng = np.random.default_rng(0)
-    x = rng.uniform(-40.0, 0.0, 1 << 16)
-    parts = (np.expm1(x), np.exp(x), np.log(1.0 - rng.random(1 << 16)),
-             rng.poisson(800.0, 4096), rng.poisson(0.8, 4096),
-             rng.gamma(40.0, 1.0 / 1.5, 4096), rng.gamma(1.0, 1.0, 4096),
-             rng.standard_normal(4096))
-    return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()[:16]
-
-
 def deviation_digest(model, T, n):
     """sha256 of n draws at seed 20261019 and the stream's next double."""
     rng = np.random.default_rng(20261019)
@@ -165,10 +159,11 @@ def path_digest(model, T, n_steps):
     return hashlib.sha256(path.X.tobytes() + path.Y.tobytes()).hexdigest()
 
 
-# Each case's digest as the sampler gives it with arrival times from a child
-# stream, sizes by inversion and the kernels' constants folded into their
-# expm1 forms, recorded with numpy 2.4 on x86-64 under two float canaries:
-# with and without numpy's AVX-512 exp, expm1 and log
+# Each case's digest as the sampler gives it with jump counts by guide-table
+# inversion, arrival times from a child stream, sizes by inversion and the
+# kernels' constants folded into their expm1 forms, recorded with numpy 2.4
+# on x86-64 under two float canaries (`levyou.float_canary()`): with and
+# without numpy's AVX-512 exp, expm1 and log
 # (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR").  jumps-T40's
 # drift takes the correctly rounded kernel weight W_1 = 96 + 4 e^{-20} at
 # T = 40.
@@ -183,17 +178,17 @@ DIGEST_CASES = {
     "path-T4000": lambda: path_digest(JUMPS_MODEL, 4000.0, 1000),
 }
 RECORDED_DIGESTS = {
-    "af6c5de4a420a779": {
-        "jumps-T40": "cbbd546c46e0f87e9b1e07167b2f9a5fa2ff14a25701eb8b48003ae2a4748c5e",
-        "acc06-T20": "fdd6b1db6987df424eaa0c1b1211d1f5b36953aac68e47c885c23b6fab72c8b9",
-        "acc06-T20-one-run": "d776863c8d8cc519279b1aecb2fec03ddf6303d61ddb68c7ee9fcba629561192",
-        "path-T4000": "95fdb1673a6f8f96f4522611b49f8dedd46a5b8da4999e653db2be10a25ebd30",
+    "5ae24f5423a60241": {
+        "jumps-T40": "8943225f0b190986441cd204d1c4be802c8b54e1ab5cfbffdabb4ca519a4a4a1",
+        "acc06-T20": "4b843e0f44a4b90ecc2bc90063f32a8d80a88a59b3e12ffe1e7c865d1dbcf6f9",
+        "acc06-T20-one-run": "5937963cfd420c7d7ee07af819db6721e1fba1f53139822c4f34528b6dca5c3b",
+        "path-T4000": "7d64facdb7d32d5953a358b33f5ee54317b4e07833cf14ebec8dc5d393755293",
     },
-    "150bdcdaa4cc9966": {
-        "jumps-T40": "12e564b45b7609dd32e6f3f3429f1e17f14c0baee086f53f5208292e3c10ff5d",
-        "acc06-T20": "0c5902897023f56e07fa70c08917cbb65930551d8f9262cbfed72131120b30dd",
-        "acc06-T20-one-run": "c0a37e1a1e70dde7b812daebd6a973577591948924e1a0a7b366361bf12ab48b",
-        "path-T4000": "e0121f86acb1b9c49b60c05b3e7aeff50d2a7881b4d6b9eeb97ee750d4c686da",
+    "0e9b78da95299c0e": {
+        "jumps-T40": "36c1553a2a34ee810267ba0a367ef34351f265e41e3d2e984af357ab2622ccf8",
+        "acc06-T20": "36bd6b24aa8928d26a356ec03c538a46119c8e794ef69a9270abd06269fbd382",
+        "acc06-T20-one-run": "9ce696fa8476903c6d1e8876149eb48cb900d72197c1ea260b0ba59d3e2d7f9b",
+        "path-T4000": "19a8966d9e8229b469ae645d88c68b3ed6326a314d47e0a2158b2d68bb5d0042",
     },
 }
 
@@ -521,6 +516,174 @@ class TestSampleDeviation:
         assert sample_path(params, driver, 1000.0, 4, seed=34).Y.shape == (5,)
 
 
+class _StratifiedUniforms:
+    """Stands in for a Generator: random(out=...) fills in the uniforms
+    (i + 1/2)/n, i = 0, 1, ..., in order, so each count's interval of the
+    CDF holds the exact number of them to within one."""
+
+    def __init__(self, n):
+        self.n, self.i = n, 0
+
+    def random(self, out):
+        np.add(np.arange(self.i, self.i + out.size), 0.5, out=out)
+        out /= self.n
+        self.i += out.size
+        return out
+
+
+def _pooled(observed, expected, least=5.0):
+    """observed and expected merged from each tail inward until every bin
+    expects at least `least`."""
+    bins_o, bins_e, o, e = [], [], 0.0, 0.0
+    order = np.argsort(-expected, kind="stable")
+    keep = np.zeros(expected.size, bool)
+    keep[order[:np.count_nonzero(expected >= least)]] = True
+    for k in range(expected.size):  # merge a small bin into the next kept one
+        o += observed[k]
+        e += expected[k]
+        if keep[k]:
+            bins_o.append(o)
+            bins_e.append(e)
+            o = e = 0.0
+    if bins_o:  # the upper tail joins the last kept bin
+        bins_o[-1] += o
+        bins_e[-1] += e
+    return np.array(bins_o), np.array(bins_e)
+
+
+def _exact_cdf(mean, ks):
+    """P(N <= k) for N ~ Poisson(mean): scipy's, and at means of 2^20 and
+    more, where scipy's is off by up to 2e-6 (at 2^28, 4.5 sd above the mean,
+    against 40-digit mpmath), the pmf's ratio recurrence from the mode in
+    np.longdouble, summed over ks and normalized, which leaves out less than
+    2^-53 of the mass."""
+    if mean < 2.0 ** 20:
+        return stats.poisson.cdf(ks, mean)
+    ld, mode = np.longdouble, math.floor(mean)
+    up = np.cumprod(ld(mean) / np.arange(mode + 1, ks[-1] + 1, dtype=ld))
+    down = np.cumprod(np.arange(mode, ks[0], -1, dtype=ld) / ld(mean))[::-1]
+    cdf = np.cumsum(np.concatenate((down, [ld(1)], up)))
+    return (cdf / cdf[-1]).astype(float)
+
+
+COUNT_MEANS = [1e-9, 0.05, 0.8, 5.0, 10.0, 20.0, 50.0, 200.0, 800.0, 65536.0]
+
+
+class TestJumpCounts:
+    """The jump counts of both samplers: Poisson(c*span) by guide-table
+    inversion of one uniform each (`simulate._poisson_counts`)."""
+
+    @pytest.mark.parametrize("mean", COUNT_MEANS)
+    def test_counts_follow_the_law(self, mean):
+        n = 1 << 20
+        hi = int(mean + 40.0 * math.sqrt(mean)) + 40
+        exact = stats.poisson.pmf(np.arange(hi + 1), mean) * n
+        # derandomized: stratified uniforms put within one of n*pmf(k) in
+        # every count's bin, and far fewer than a random sample would
+        counts = simulate._poisson_counts(_StratifiedUniforms(n), mean,
+                                          np.empty(n, dtype=np.int64))
+        observed = np.bincount(counts, minlength=hi + 1)
+        assert observed.size == hi + 1
+        assert np.all(np.abs(observed - exact) <= 1.0 + 1e-5), mean
+        o, e = _pooled(observed, exact)
+        assert np.sum((o - e) ** 2 / e) <= np.sum(1.0 / e)
+        # and the generator's own uniforms at a fixed seed: a chi-square
+        # against the exact pmf, its tails pooled to at least 5 expected
+        counts = simulate._poisson_counts(np.random.default_rng(38), mean,
+                                          np.empty(n, dtype=np.int64))
+        o, e = _pooled(np.bincount(counts, minlength=hi + 1), exact)
+        if o.size > 1:
+            chi2 = float(np.sum((o - e) ** 2 / e))
+            assert stats.chi2.sf(chi2, o.size - 1) > KS_LEVEL, (mean, chi2, o.size)
+        else:
+            assert o[0] == n
+
+    @pytest.mark.parametrize("mean", COUNT_MEANS + [250000.0] + [
+        pytest.param(m, marks=pytest.mark.skipif(
+            np.finfo(np.longdouble).eps > 1e-18,
+            reason="needs an extended-precision np.longdouble (x86-64)"))
+        for m in (2.0 ** 24, 2.0 ** 28)])
+    def test_table_is_the_exact_cdf(self, mean):
+        lo, cdf, guide = simulate._poisson_table(mean)
+        scale = guide.size
+        ks = lo + np.arange(cdf.size)
+        # M is a power of two at least twice the table, and cdf ends at M
+        assert scale & (scale - 1) == 0 and scale >= 2 * cdf.size and cdf[-1] == scale
+        assert np.all(np.diff(cdf) >= 0)
+        assert np.max(np.abs(cdf / scale - _exact_cdf(mean, ks))) <= 1e-12
+        # the mass outside the table, by the Chernoff bound
+        # P(N <= k) or P(N >= k) <= exp(k - mean - k*log(k/mean)) below or
+        # above the mean
+        def bound(k):
+            return math.exp(k - mean - k * math.log1p((k - mean) / mean)) if k > 0 else 0.0
+        assert (bound(lo - 1) if lo else 0.0) + bound(ks[-1] + 1) < 2.0 ** -53
+        # guide[j] counts the cdf entries <= j
+        assert np.array_equal(guide, np.searchsorted(cdf, np.arange(scale), side="right"))
+        if mean >= 1.0:  # the table spans mean +- 13 sd
+            sd = math.sqrt(mean)
+            assert lo <= max(0.0, mean - 13.0 * sd) and ks[-1] >= mean + 13.0 * sd
+
+    @pytest.mark.parametrize("mean", [0.0, 5e-324, 1e-300])
+    def test_a_mean_that_underflows_gives_zeros(self, mean):
+        # one uniform per count is drawn all the same, so the stream moves
+        # as it does at any mean
+        rng, ref = np.random.default_rng(39), np.random.default_rng(39)
+        counts = simulate._poisson_counts(rng, mean, np.full(5000, 7, dtype=np.int64))
+        assert np.array_equal(counts, np.zeros(5000))
+        ref.random(5000)
+        assert rng.random() == ref.random()
+
+    def test_a_driver_whose_mean_underflows_draws_no_jumps(self):
+        # c*T = 5e-324 * 0.5 is 0 in floats
+        params = ModelParams(lam=1.0, gamma=0.0, beta=1.0, rho=0.5)
+        driver = DriverSpec.cpexp(b=1.0, c=5e-324, alpha=1.0)
+        assert driver.c * 0.5 == 0.0
+        got = sample_deviation(params, driver, 0.5, np.random.default_rng(40), size=3000)
+        assert np.all(np.isfinite(got))
+        path = sample_path(params, driver, 0.5, 50, seed=40)
+        assert np.all(np.isfinite(path.X)) and np.all(np.isfinite(path.Y))
+
+    def test_one_draw_at_2_to_the_28_builds_a_table_of_order_sqrt(self):
+        # a table of ~26 sd = 426k entries, its guide of 2^20 and the guide's
+        # keys, not anything of order c*T = 2^28
+        mean = 2.0 ** 28
+        sd = math.sqrt(mean)
+        tracemalloc.start()
+        try:
+            count = simulate._poisson_counts(np.random.default_rng(41), mean,
+                                             np.empty(1, dtype=np.int64))[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 72 * (26 * sd + 8), peak
+        assert abs(count - mean) <= 13 * sd
+
+    @pytest.mark.parametrize("mean", [5.0, 10.0, 20.0, 800.0])
+    def test_a_chunk_of_counts_holds_less_than_one_array(self, mean):
+        # the counts are written into the caller's array; the uniforms and
+        # the inversion's temporaries of a 16384-count draw, its table
+        # included, stay within one 8-byte array per count, which is what
+        # rng.poisson allocated for its output
+        n = CHUNK
+        out = np.empty(n, dtype=np.int64)
+        simulate._poisson_counts(np.random.default_rng(42), mean, out)
+        tracemalloc.start()
+        try:
+            simulate._poisson_counts(np.random.default_rng(42), mean, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n, peak
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_count_block_does_not_change_the_counts(self, monkeypatch, stream):
+        whole = simulate._poisson_counts(STREAMS[stream](), 20.0, np.empty(10000, dtype=np.int64))
+        monkeypatch.setattr(simulate, "COUNT_BLOCK", 7)
+        blocked = simulate._poisson_counts(STREAMS[stream](), 20.0,
+                                           np.empty(10000, dtype=np.int64))
+        assert np.array_equal(whole, blocked)
+
+
 class TestSamplePath:
     def test_zero_noise_flow_is_exact(self):
         # C -> 0+, no jumps, b = 0: X_t = exp(-lam t) x0 and Y is the
@@ -592,16 +755,16 @@ class TestSamplePath:
             tracemalloc.stop()
         assert peak < 8.5 * 8 * n, peak / (8 * n)
 
-    @pytest.mark.parametrize("variant, bound", [("cpexp", 36), ("gaussian", 36), ("mixed", 45)],
+    @pytest.mark.parametrize("variant, bound", [("cpexp", 36), ("gaussian", 36), ("mixed", 36)],
                              ids=["cpexp", "gaussian", "mixed"])
     def test_path_memory_per_step(self, variant, bound):
         # tracemalloc peak in bytes per step of a 100k-step path of the
         # example model.  The kernel holds X, Y and the innovations g1 and g2
-        # (32 B/step), built from only the parts the driver has; a mixed
-        # driver's peak is earlier, while its Gaussian innovations wait for
-        # the jump sums (41 B/step: g1, g2, the steps' jump offsets and the
-        # two sums).  Each bound is the measured peak with less slack than
-        # one more array of 8 B/step.
+        # (32 B/step), built from only the parts the driver has; the jump
+        # sums are added into g1 and g2 while the steps' jump offsets are
+        # held (24 B/step), so a mixed driver peaks in the kernel too.  Each
+        # bound is the measured peak with less slack than one more array of
+        # 8 B/step.
         ecfg = ExperimentConfig.from_dict(load_config(EXAMPLE))
         driver = {"cpexp": ecfg.driver, "gaussian": DriverSpec.gaussian(b=1.0, C=1.0),
                   "mixed": DriverSpec.mixed(b=1.0, C=1.0, c=1.0, alpha=1.0)}[variant]
