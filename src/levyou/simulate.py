@@ -197,7 +197,7 @@ def _poisson_table(mean: float):
     lo = max(0, math.floor(mean - 13.0 * sd))
     hi = math.ceil(mean + 13.0 * sd) + 6
     mode = math.floor(mean)
-    cdf = np.empty(hi - lo + 1)
+    cdf = np.empty(hi - lo + 1)  # the pmf relative to the mode's, then its running sums
     cdf[mode - lo] = 1.0
     up = cdf[mode - lo + 1:]
     np.divide(mean, np.arange(mode + 1, hi + 1, dtype=float), out=up)
@@ -236,9 +236,9 @@ def _poisson_counts(rng: np.random.Generator, mean: float, out: np.ndarray) -> n
         k = out[s:s + COUNT_BLOCK]
         v = rng.random(out=u[:k.size])
         v *= scale
-        k[...] = v
+        k[...] = v  # the bucket j, by truncation
         np.take(guide, k, out=k, mode="clip")
-        i = np.flatnonzero(cdf[k] <= v)
+        i = np.flatnonzero(cdf[k] <= v)  # the draws past guide[j]
         k[i] += 1
         i = i[cdf[k[i]] <= v[i]]
         if i.size:
@@ -292,10 +292,11 @@ def _jump_runs(rng: np.random.Generator, driver: DriverSpec, span: float, n: int
     jump are a view of the call's own offsets, which the caller must not
     write.
 
-    Draw order: one Poisson(c*span) block of n counts, then one
-    rng.integers(1 << 63) that seeds a child generator of rng's
-    bit-generator type, then the m jumps in order, each run's u from the
-    child and its v from rng.  Each stream is read in jump order, so at any
+    Draw order: one rng.random() double per span, in span order, inverted
+    to the span's Poisson(c*span) jump count (`_poisson_counts`; a c*span
+    that underflows to 0 gives 0 jumps), then one rng.integers(1 << 63)
+    that seeds a child generator of rng's bit-generator type, then the m
+    jumps in order, each run's u from the child and its v from rng.  Each stream is read in jump order, so at any
     JUMP_BLOCK the draws and rng's final position are the same, and a run
     holds O(max(JUMP_BLOCK, largest span)) memory whatever c*span*n is.
     """
@@ -346,7 +347,8 @@ def sample_deviation(params: ModelParams, driver: DriverSpec, T: float,
 
     Draw order per call: stationary block(s) for X_0, one standard-normal
     block (when C > 0), then, when jumps are present, the draws' jumps in
-    `_jump_runs`'s order.  Each draw's jump sum depends only on its own
+    `_jump_runs`'s order: one uniform per draw for its jump count, the
+    child stream's seed, then the jumps.  Each draw's jump sum depends only on its own
     jumps, so the result does not depend on JUMP_BLOCK.  Raises ValueError,
     before drawing, when c*T*size exceeds MAX_EXPECTED_JUMPS or c*T exceeds
     MAX_DRAW_JUMPS.
@@ -415,8 +417,10 @@ def sample_path(params: ModelParams, driver: DriverSpec, T: float, n_steps: int,
     -log(1 - v)/alpha is its size (`_kernels.jump_step_sums`).  Draw order:
     X_0 (unless x0 is given), one block of 2*n_steps standard normals (when
     C > 0), then, when jumps are present, the steps' jumps in `_jump_runs`'s
-    order.  The steps' two innovation arrays (`_kernels.path_recursion`) are
-    built from only the normals and jump sums the driver has.  Raises
+    order: one uniform per step for its jump count, the child stream's
+    seed, then the jumps.  The steps' two innovation arrays
+    (`_kernels.path_recursion`) are built from only the normals and jump
+    sums the driver has, each run's jump sums added into its steps.  Raises
     ValueError, before drawing, when c*T exceeds MAX_DRAW_JUMPS.
     """
     if n_steps < 1:
