@@ -9,7 +9,6 @@ laws; there is no discretization bias at any step size.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import math
 from dataclasses import dataclass
@@ -256,6 +255,8 @@ def float_canary() -> str:
     last bits of the draws and so the report and path bytes; equal canaries
     mean the same arithmetic.  It takes well under a millisecond.
     """
+    import hashlib  # imported here so that `import levyou` does not pay for it
+
     rng = np.random.default_rng(0)
     n = 1 << 10
     x = rng.uniform(-40.0, 0.0, n)
@@ -296,9 +297,10 @@ def _jump_runs(rng: np.random.Generator, driver: DriverSpec, span: float, n: int
     to the span's Poisson(c*span) jump count (`_poisson_counts`; a c*span
     that underflows to 0 gives 0 jumps), then one rng.integers(1 << 63)
     that seeds a child generator of rng's bit-generator type, then the m
-    jumps in order, each run's u from the child and its v from rng.  Each stream is read in jump order, so at any
-    JUMP_BLOCK the draws and rng's final position are the same, and a run
-    holds O(max(JUMP_BLOCK, largest span)) memory whatever c*span*n is.
+    jumps in order, each run's u from the child and its v from rng.  Each
+    stream is read in jump order, so at any JUMP_BLOCK the draws and rng's
+    final position are the same, and a run holds O(max(JUMP_BLOCK, largest
+    span)) memory whatever c*span*n is.
     """
     offsets = np.empty(n + 1, dtype=np.int64)
     offsets[0] = 0
@@ -348,10 +350,10 @@ def sample_deviation(params: ModelParams, driver: DriverSpec, T: float,
     Draw order per call: stationary block(s) for X_0, one standard-normal
     block (when C > 0), then, when jumps are present, the draws' jumps in
     `_jump_runs`'s order: one uniform per draw for its jump count, the
-    child stream's seed, then the jumps.  Each draw's jump sum depends only on its own
-    jumps, so the result does not depend on JUMP_BLOCK.  Raises ValueError,
-    before drawing, when c*T*size exceeds MAX_EXPECTED_JUMPS or c*T exceeds
-    MAX_DRAW_JUMPS.
+    child stream's seed, then the jumps.  Each draw's jump sum depends only
+    on its own jumps, so the result does not depend on JUMP_BLOCK.  Raises
+    ValueError, before drawing, when c*T*size exceeds MAX_EXPECTED_JUMPS or
+    c*T exceeds MAX_DRAW_JUMPS.
     """
     if T <= 0:
         raise ValueError("T must be positive")

@@ -39,8 +39,8 @@ EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_gamma_ou.json"
 # by inversion, the kernels' constants folded into their expm1 forms and the
 # draws and k-statistics in CHUNK-sized (16384-draw) chunks, recorded with
 # numpy 2.4 on x86-64 under the two float canaries (`levyou.float_canary()`,
-# with and without AVX-512 exp, expm1 and log).  The draws differ in their last bits between the two, but at this
-# chunk size the file's bytes do not.
+# with and without AVX-512 exp, expm1 and log).  The draws differ in their
+# last bits between the two, but at this chunk size the file's bytes do not.
 THETA_HAT_DIGESTS = {
     "5ae24f5423a60241": "70af38ddb63095c311eea06692e51471b9a99715def97d0559d19337412c6bee",
     "0e9b78da95299c0e": "70af38ddb63095c311eea06692e51471b9a99715def97d0559d19337412c6bee",
@@ -469,6 +469,9 @@ class TestValidateCommand:
         jsonschema.validate(report, REPORT_SCHEMA)
         csv_lines = (tmp_path / "report.csv").read_text().strip().split("\n")
         assert csv_lines[0] == "T,a,p,empirical,se,psi_p,gap,informative"
+        # meta names the arithmetic the bytes came from
+        assert report["meta"]["float_canary"] == float_canary()
+        assert re.fullmatch("[0-9a-f]{16}", report["meta"]["float_canary"])
 
     def test_strict_passes_on_clean_run(self, write_config, tmp_path):
         cfg = base_config(n_samples=2000)
